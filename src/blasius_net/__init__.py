@@ -7,14 +7,7 @@ network.  Classical oracles (wall power series, RK4 shooting) and bundled
 reference tables provide independent validation.
 """
 
-from .network import (
-    NetworkParams,
-    ParamGradient,
-    forward,
-    input_derivative,
-    param_gradient,
-    sigmoid_derivative,
-)
+from .network import NetworkParams, ParamGradient, input_derivative, param_gradient
 from .trial import TrialMode, TrialSpec, trial_derivative, trial_param_gradient, trial_value
 from .problem import (
     DEFAULT_PENALTY_WEIGHT,
@@ -29,13 +22,11 @@ from .problem import (
 from .training import (
     MOMENTUM_COEFF,
     AllRunsDivergedError,
-    MomentumState,
-    Optimizer,
     TrainingConfig,
     TrainingDivergedError,
     TrainingRun,
     XorShift64Star,
-    gd_step,
+    best_run,
     init_params,
     multi_run,
     seed_sweep,
@@ -75,14 +66,13 @@ from .model_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NetworkParams", "ParamGradient", "forward", "input_derivative",
-    "param_gradient", "sigmoid_derivative",
+    "NetworkParams", "ParamGradient", "input_derivative", "param_gradient",
     "TrialMode", "TrialSpec", "trial_value", "trial_derivative", "trial_param_gradient",
     "DEFAULT_PENALTY_WEIGHT", "CollocationGrid", "LossEvaluator", "LossReport",
     "blasius_residual", "loss", "loss_gradient", "residual_at",
-    "MOMENTUM_COEFF", "Optimizer", "TrainingConfig", "TrainingRun", "MomentumState",
+    "MOMENTUM_COEFF", "TrainingConfig", "TrainingRun",
     "TrainingDivergedError", "AllRunsDivergedError", "XorShift64Star",
-    "init_params", "gd_step", "train", "seed_sweep", "multi_run",
+    "init_params", "train", "seed_sweep", "best_run", "multi_run",
     "SeriesCoefficients", "SeriesNotConvergedError", "IntegrationError", "BracketError",
     "series_coefficients", "series_eval", "series_tail_estimate", "rk4_profile", "shoot",
     "SolutionProfile", "format_float", "write_profile_csv", "read_profile_csv",

@@ -29,7 +29,7 @@ from .profiles import format_float, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
-from .training import TrainingConfig, multi_run, seed_sweep, train
+from .training import TrainingConfig, best_run, seed_sweep, train
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
@@ -111,12 +111,12 @@ def _cmd_solve(args) -> int:
         diverged = 0
     else:
         runs = seed_sweep(cfg, args.runs)
-        finals = [r.final_loss for r in runs if r is not None]
-        diverged = sum(1 for r in runs if r is None)
-        if not finals:
+        best = best_run(runs)
+        if best is None:
             print(f"error: all {args.runs} seeds diverged", file=sys.stderr)
             return 1
-        best = multi_run(cfg, args.runs)
+        finals = [r.final_loss for r in runs if r is not None]
+        diverged = len(runs) - len(finals)
     print(f"mode={args.mode} hidden={args.hidden} points={args.points} "
           f"domain_end={format_float(args.domain_end)} seed={args.seed} runs={args.runs}")
     if diverged:

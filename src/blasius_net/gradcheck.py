@@ -10,13 +10,14 @@ while the vector itself is large.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .network import NetworkParams, input_derivative, param_gradient
-from .problem import CollocationGrid, loss, loss_gradient
+from .network import NetworkJet, NetworkParams
+from .problem import CollocationGrid, LossEvaluator
 from .training import XorShift64Star
-from .trial import TrialMode, TrialSpec, trial_derivative, trial_param_gradient, trial_value
+from .trial import TrialMode, TrialSpec, trial_jet
 
 __all__ = ["GradCheckResult", "fd_param_gradient", "run_gradient_checks"]
 
@@ -77,11 +78,33 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
                         step: float = FD_STEP, tol: float = REL_TOL) -> list[GradCheckResult]:
     """Exercise the three gradient operations against finite differences.
 
-    Covers param_gradient (orders 0..3), trial_param_gradient (both modes,
-    orders 0..3) and loss_gradient (both modes); every case uses fresh random
-    parameters and abscissae from a seeded deterministic stream.
+    Covers the network's own derivatives (orders 0..3), the trial solution's
+    derivatives (both modes, orders 0..3) and the loss (both modes); every
+    case uses fresh random parameters and abscissae from a seeded
+    deterministic stream.  Each derivative draw builds one jet at its
+    abscissa; each loss case reuses one evaluator.
     """
     results = []
+
+    def case(name: str, rng: XorShift64Star, probe) -> None:
+        # probe(rng) -> (analytic gradient, scalar objective), after each parameter draw
+        worst = 0.0
+        for _ in range(draws):
+            params = _random_params(rng, hidden)
+            gradient, objective = probe(rng)
+            grad = gradient(params)
+            analytic = (grad.d_output_weights, grad.d_hidden_biases, grad.d_input_weights)
+            numeric = fd_param_gradient(objective, params, step)
+            worst = max(worst, gradient_discrepancy(analytic, numeric))
+        results.append(GradCheckResult(name=name, draws=draws, max_rel_error=worst,
+                                       passed=worst <= tol))
+
+    def jet_probe(build, order: int):
+        def probe(rng: XorShift64Star):
+            jet = build([rng.uniform(0.05, 5.95)], (order,))
+            return jet.gradient, lambda p: jet.values(p)[0, order]
+        return probe
+
     specs = {
         TrialMode.PAPER: TrialSpec(TrialMode.PAPER, 6.0),
         TrialMode.PENALTY: TrialSpec(TrialMode.PENALTY, 6.0),
@@ -89,51 +112,18 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
     grid = CollocationGrid.equidistant(10, 6.0)
 
     for order in range(4):
-        rng = XorShift64Star(seed * 977 + order)
-        worst = 0.0
-        for _ in range(draws):
-            params = _random_params(rng, hidden)
-            x = rng.uniform(0.05, 5.95)
-            analytic = param_gradient(params, x, order)
-            numeric = fd_param_gradient(lambda p: input_derivative(p, x, order), params, step)
-            worst = max(worst, gradient_discrepancy(
-                (analytic.d_output_weights, analytic.d_hidden_biases, analytic.d_input_weights),
-                numeric))
-        results.append(GradCheckResult(
-            name=f"param_gradient order {order}", draws=draws,
-            max_rel_error=worst, passed=worst <= tol))
+        case(f"param_gradient order {order}", XorShift64Star(seed * 977 + order),
+             jet_probe(NetworkJet.bare, order))
 
     for mode, spec in specs.items():
         for order in range(4):
             rng = XorShift64Star(seed * 1013 + order * 8 + (0 if mode is TrialMode.PAPER else 4))
-            worst = 0.0
-            for _ in range(draws):
-                params = _random_params(rng, hidden)
-                x = rng.uniform(0.05, 5.95)
-                if order == 0:
-                    objective = lambda p: trial_value(spec, p, x)
-                else:
-                    objective = lambda p: trial_derivative(spec, p, x, order)
-                analytic = trial_param_gradient(spec, params, x, order)
-                numeric = fd_param_gradient(objective, params, step)
-                worst = max(worst, gradient_discrepancy(
-                    (analytic.d_output_weights, analytic.d_hidden_biases, analytic.d_input_weights),
-                    numeric))
-            results.append(GradCheckResult(
-                name=f"trial_param_gradient {mode.value} order {order}", draws=draws,
-                max_rel_error=worst, passed=worst <= tol))
+            case(f"trial_param_gradient {mode.value} order {order}", rng,
+                 jet_probe(partial(trial_jet, spec), order))
 
     for mode, spec in specs.items():
         rng = XorShift64Star(seed * 2027 + (0 if mode is TrialMode.PAPER else 1))
-        worst = 0.0
-        for _ in range(draws):
-            params = _random_params(rng, hidden)
-            analytic = loss_gradient(spec, params, grid)
-            numeric = fd_param_gradient(lambda p: loss(spec, p, grid).total, params, step)
-            worst = max(worst, gradient_discrepancy(
-                (analytic.d_output_weights, analytic.d_hidden_biases, analytic.d_input_weights),
-                numeric))
-        results.append(GradCheckResult(
-            name=f"loss_gradient {mode.value}", draws=draws,
-            max_rel_error=worst, passed=worst <= tol))
+        evaluator = LossEvaluator(spec, grid)
+        case(f"loss_gradient {mode.value}", rng,
+             lambda _: (evaluator.gradient, lambda p: evaluator.report(p).total))
     return results

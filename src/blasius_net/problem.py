@@ -6,7 +6,7 @@ family adds lambda * (y'(L) - 1)^2 to pull the far-field slope to one.  The
 ``paper`` family pins the far end through its envelope instead, so the penalty
 weight is forced to zero there.
 
-LossEvaluator precomputes everything that depends only on the grid, and
+LossEvaluator builds the trial jet (trial.trial_jet) of the grid once and
 returns loss and exact parameter gradient in one fused pass.  Training hits
 this path tens of thousands of times, so it works on raw weight vectors; the
 module-level loss / loss_gradient wrappers take NetworkParams.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkParams, ParamGradient
-from .trial import TrialSpec, TrialMode, envelope_terms, offset_terms, trial_value, trial_derivative
+from .trial import TrialSpec, TrialMode, trial_jet
 
 __all__ = [
     "DEFAULT_PENALTY_WEIGHT",
@@ -98,12 +98,13 @@ def _ordered_square_sum(values: np.ndarray) -> float:
 class LossEvaluator:
     """Fused loss / gradient evaluation on a fixed grid.
 
-    The trial derivatives are linear in the network derivatives n_l at each
-    grid point, so both the Leibniz combination and its adjoint (which maps
-    residual weights back onto the n_l) are tabulated once as small per-point
-    matrices; one evaluate() call is then a fixed handful of batched matrix
-    products.  Scratch arrays are reused between calls to keep the training
-    loop cheap; everything returned is a fresh copy.
+    The trial jet (trial.trial_jet) evaluates y, y'' and y''' at the grid
+    points, plus y' at the domain end in penalty mode, and pulls the
+    residual cotangent (dL/dy0, dL/dy2, dL/dy3) back onto the weights.  This
+    class adds the residual, the penalty and that cotangent, so one
+    evaluate() call is a fixed handful of batched array operations.  Scratch
+    arrays are reused between calls to keep the training loop cheap;
+    everything returned is a fresh copy.
     """
 
     def __init__(self, spec: TrialSpec, grid: CollocationGrid,
@@ -112,98 +113,24 @@ class LossEvaluator:
         if not np.isfinite(lam) or lam < 0.0:
             raise ValueError("penalty_weight must be finite and non-negative")
         pts = grid.points
-        if np.any(pts > spec.domain_end):
-            raise ValueError("grid extends past the trial domain end")
         self.spec = spec
         self.grid = grid
-        self.point_count = pts.size
+        self.point_count = m = pts.size
         # the paper family pins the far end through its envelope: no penalty
         self.penalty_active = spec.mode is TrialMode.PENALTY and lam > 0.0
         self.penalty_weight = lam if spec.mode is TrialMode.PENALTY else 0.0
         xs = np.append(pts, spec.domain_end) if self.penalty_active else pts
-        rows = xs.size
-        self._xs = xs
-        self._xs_col = xs[:, None]
-        self._xs_row = xs[None, :]
-        a0, a1, a2, a3 = offset_terms(spec.mode, xs)
-        f0, f1, f2, f3 = envelope_terms(spec.mode, xs)
-        # y_k = a_k + sum_l leib[k, l] n_l at each row (Leibniz rule on F * N)
-        leib = np.zeros((rows, 4, 4))
-        leib[:, 0, 0] = f0
-        leib[:, 1, 0] = f1
-        leib[:, 1, 1] = f0
-        leib[:, 2, 0] = f2
-        leib[:, 2, 1] = 2.0 * f1
-        leib[:, 2, 2] = f0
-        leib[:, 3, 0] = f3
-        leib[:, 3, 1] = 3.0 * f2
-        leib[:, 3, 2] = 3.0 * f1
-        leib[:, 3, 3] = f0
-        self._leib = leib
-        self._offset = np.stack((a0, a1, a2, a3), axis=1)[:, :, None]
-        # adjoint: k_l = sum_j adj[l, j] c_j with c = (dL/dy0, dL/dy2, dL/dy3);
-        # the far-end penalty row gets its k's directly from the slope error
-        adj = np.zeros((rows, 4, 3))
-        adj[:, 0, 0] = f0
-        adj[:, 0, 1] = f2
-        adj[:, 0, 2] = f3
-        adj[:, 1, 1] = 2.0 * f1
-        adj[:, 1, 2] = 3.0 * f2
-        adj[:, 2, 1] = f0
-        adj[:, 2, 2] = 3.0 * f1
-        adj[:, 3, 2] = f0
+        jet = self._jet = trial_jet(spec, xs, (0, 2, 3))
+        self._y0 = jet.y[:, 0, 0]
+        self._y2 = jet.y[:, 2, 0]
+        self._y3 = jet.y[:, 3, 0]
+        self._r = np.empty(xs.size)
+        self._c_y0 = jet.cotangent[:, 0, 0]
+        self._c_y2 = jet.cotangent[:, 1, 0]
+        self._c_y3 = jet.cotangent[:, 2, 0]
         if self.penalty_active:
-            adj[-1] = 0.0
-            self._f0_end = float(f0[-1])
-            self._f1_end = float(f1[-1])
-        self._adj = adj
-        # grid-sized scratch, reused across calls
-        self._y = np.empty((rows, 4, 1))
-        self._y0 = self._y[:, 0, 0]
-        self._y2 = self._y[:, 2, 0]
-        self._y3 = self._y[:, 3, 0]
-        self._r = np.empty(rows)
-        self._c = np.empty((rows, 3, 1))
-        self._c_y0 = self._c[:, 0, 0]
-        self._c_y2 = self._c[:, 1, 0]
-        self._c_y3 = self._c[:, 2, 0]
-        self._kt = np.empty((rows, 4, 1))
-        self._kt_rows = self._kt[:, :, 0].T
-        self._k = np.zeros((2, 4, rows))
-        self._k_rows = self._k[0]
-        self._k_scaled = self._k[1]
-        self._k_lhs = self._k[0][:, None, :]
-        self._k_both = self._k.reshape(2, 4, 1, rows)
-        self._hidden = 0
-
-    def _ensure_scratch(self, hidden: int) -> None:
-        if hidden == self._hidden:
-            return
-        rows = self._xs.size
-        self._hidden = hidden
-        self._z = np.empty((rows, hidden))
-        self._sig = np.empty((5, rows, hidden))
-        self._sig_lo = self._sig[:4]
-        self._sig_hi = self._sig[1:]
-        # _wstack[0] holds w^0..w^3, _wstack[1] their w-derivatives 0,1,2w,3w^2
-        self._wstack = np.empty((2, 4, hidden))
-        self._wstack[0, 0] = 1.0
-        self._wstack[1, 0] = 0.0
-        self._wstack[1, 1] = 1.0
-        self._wpow = self._wstack[0]
-        self._wlin = self._wstack[1]
-        self._vw = np.empty((4, hidden, 1))
-        self._vw_rows = self._vw[:, :, 0]
-        self._n = np.empty((4, rows, 1))
-        self._n_t = self._n.transpose(1, 0, 2)
-        self._s = np.empty((4, 1, hidden))
-        self._s_rows = self._s[:, 0, :]
-        self._tx = np.empty((2, 4, 1, hidden))
-        self._tx_rows = self._tx[:, :, 0, :]
-        self._prod_s = np.empty((2, 4, hidden))
-        self._prod_tx = np.empty((2, 4, hidden))
-        self._sum_s = np.empty((2, hidden))
-        self._sum_tx = np.empty((2, hidden))
+            # the end row's cotangent sits on y' = F' N + F N'
+            self._f1_end, self._f0_end = jet.linear[m, 1, :2].tolist()
 
     def evaluate(self, v: np.ndarray, u: np.ndarray, w: np.ndarray, need_grad: bool = True):
         """Return (total, residuals, penalty_term, d_v, d_u, d_w).
@@ -219,96 +146,39 @@ class LossEvaluator:
         u = np.asarray(u, dtype=np.float64)
         w = np.asarray(w, dtype=np.float64)
         with np.errstate(all="ignore"):
-            return self._evaluate(v, u, w, need_grad)
+            # hot path: out arguments are positional, since this runs once
+            # per training iteration
+            mul = np.multiply
+            m = self.point_count
+            jet = self._jet
+            y = jet.forward(v, u, w, need_grad)
+            r = self._r
+            mul(self._y0, 0.5, r)
+            mul(r, self._y2, r)
+            np.add(r, self._y3, r)
 
-    def _evaluate(self, v, u, w, need_grad):
-        # hot path: out arguments are positional and buffers are hoisted to
-        # locals, since this runs once per training iteration
-        mul = np.multiply
-        add = np.add
-        m = self.point_count
-        self._ensure_scratch(v.shape[0])
-        z = self._z
-        mul(self._xs_col, w, z)
-        add(z, u, z)
+            if self.penalty_active:
+                slope_err = float(y[m, 1, 0]) - 1.0
+                penalty = self.penalty_weight * slope_err * slope_err
+                # the end row carries the slope penalty, not a residual
+                r[m] = 0.0
+            else:
+                penalty = 0.0
+            total = _ordered_square_sum(r[:m]) + penalty
 
-        # sigmoid and its first four derivatives, in place (tanh form: no overflow)
-        s, t, g2, g3, g4 = self._sig
-        mul(z, 0.5, s)
-        np.tanh(s, s)
-        add(s, 1.0, s)
-        mul(s, 0.5, s)
-        np.subtract(1.0, s, t)
-        mul(t, s, t)
-        mul(s, -2.0, g2)
-        add(g2, 1.0, g2)
-        mul(g2, t, g2)
-        mul(t, -6.0, g3)
-        add(g3, 1.0, g3)
-        mul(g3, t, g3)
-        if need_grad:
-            mul(t, -12.0, g4)
-            add(g4, 1.0, g4)
-            mul(g4, g2, g4)
+            if not need_grad:
+                return total, r[:m].copy(), penalty, None, None, None
 
-        # n_l = sum_h v_h w_h^l sigma^(l), batched over l = 0..3
-        wpow = self._wpow
-        wpow[1] = w
-        mul(w, w, wpow[2])
-        mul(wpow[2], w, wpow[3])
-        mul(v, wpow, self._vw_rows)
-        np.matmul(self._sig_lo, self._vw, self._n)
-
-        y = self._y
-        np.matmul(self._leib, self._n_t, y)
-        add(y, self._offset, y)
-        r = self._r
-        mul(self._y0, 0.5, r)
-        mul(r, self._y2, r)
-        add(r, self._y3, r)
-
-        if self.penalty_active:
-            slope_err = float(y[m, 1, 0]) - 1.0
-            penalty = self.penalty_weight * slope_err * slope_err
-        else:
-            slope_err = 0.0
-            penalty = 0.0
-        total = _ordered_square_sum(r[:m]) + penalty
-
-        if not need_grad:
-            return total, r[:m].copy(), penalty, None, None, None
-
-        mul(r, self._y2, self._c_y0)
-        mul(r, self._y0, self._c_y2)
-        mul(r, 2.0, self._c_y3)
-        np.matmul(self._adj, self._c, self._kt)
-        k_rows = self._k_rows
-        np.copyto(k_rows, self._kt_rows)
-        if self.penalty_active:
-            cp = 2.0 * self.penalty_weight * slope_err
-            k_rows[0, m] = cp * self._f1_end
-            k_rows[1, m] = cp * self._f0_end
-        mul(k_rows, self._xs_row, self._k_scaled)
-
-        # s_l = k_l . sigma^(l); t_l = k_l . sigma^(l+1); x_l = (k_l x) . sigma^(l+1)
-        np.matmul(self._k_lhs, self._sig_lo, self._s)
-        np.matmul(self._k_both, self._sig_hi, self._tx)
-
-        wlin = self._wlin
-        mul(w, 2.0, wlin[2])
-        mul(wpow[2], 3.0, wlin[3])
-        sum_s = self._sum_s
-        sum_tx = self._sum_tx
-        mul(self._wstack, self._s_rows, self._prod_s)
-        add.reduce(self._prod_s, 1, None, sum_s)
-        mul(self._tx_rows, wpow, self._prod_tx)
-        add.reduce(self._prod_tx, 1, None, sum_tx)
-
-        d_v = sum_s[0].copy()
-        d_u = mul(sum_tx[0], v)
-        d_w = add(sum_s[1], sum_tx[1])
-        mul(d_w, v, d_w)
-        return total, r[:m].copy(), penalty, d_v, d_u, d_w
+            mul(r, self._y2, self._c_y0)
+            mul(r, self._y0, self._c_y2)
+            mul(r, 2.0, self._c_y3)
+            k_rows = jet.pull_to_network()
+            if self.penalty_active:
+                cp = 2.0 * self.penalty_weight * slope_err
+                k_rows[0, m] = cp * self._f1_end
+                k_rows[1, m] = cp * self._f0_end
+            d_v, d_u, d_w = jet.pull_to_params(v)
+            return total, r[:m].copy(), penalty, d_v, d_u, d_w
 
     def report(self, params: NetworkParams) -> LossReport:
         total, residuals, penalty, _, _, _ = self.evaluate(
@@ -323,11 +193,8 @@ class LossEvaluator:
 
 def residual_at(spec: TrialSpec, params: NetworkParams, x: float) -> float:
     """ODE residual of the trial solution at one point."""
-    return blasius_residual(
-        trial_value(spec, params, x),
-        trial_derivative(spec, params, x, 2),
-        trial_derivative(spec, params, x, 3),
-    )
+    y = trial_jet(spec, [x]).values(params)[0]
+    return blasius_residual(float(y[0]), float(y[2]), float(y[3]))
 
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,

@@ -9,7 +9,7 @@ import numpy as np
 from .network import NetworkParams
 from .profiles import SolutionProfile
 from .tables import ReferenceTable
-from .trial import TrialSpec, trial_derivative, trial_value
+from .trial import TrialSpec, trial_jet
 
 __all__ = ["ComparisonRow", "TableJoinError", "relative_error", "evaluate_profile", "compare"]
 
@@ -54,14 +54,8 @@ def evaluate_profile(spec: TrialSpec, params: NetworkParams, etas) -> SolutionPr
     etas = np.array(etas, dtype=np.float64)
     if etas.ndim != 1 or etas.size < 1:
         raise ValueError("etas must be a non-empty one-dimensional sequence")
-    f = np.empty(etas.size)
-    fp = np.empty(etas.size)
-    fpp = np.empty(etas.size)
-    for i, x in enumerate(etas.tolist()):
-        f[i] = trial_value(spec, params, x)
-        fp[i] = trial_derivative(spec, params, x, 1)
-        fpp[i] = trial_derivative(spec, params, x, 2)
-    return SolutionProfile(eta=etas, f=f, fp=fp, fpp=fpp)
+    y = trial_jet(spec, etas).values(params)
+    return SolutionProfile(eta=etas, f=y[:, 0], fp=y[:, 1], fpp=y[:, 2])
 
 
 def compare(profile: SolutionProfile, table: ReferenceTable,

@@ -8,13 +8,12 @@ run is stochastic, so whole training runs are reproducible byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkParams, ParamGradient
+from .network import NetworkParams
 from .problem import (
     DEFAULT_PENALTY_WEIGHT,
     CollocationGrid,
@@ -24,28 +23,21 @@ from .trial import TrialMode, TrialSpec
 
 __all__ = [
     "MOMENTUM_COEFF",
-    "Optimizer",
     "XorShift64Star",
     "TrainingConfig",
     "TrainingRun",
-    "MomentumState",
     "TrainingDivergedError",
     "AllRunsDivergedError",
     "init_params",
-    "gd_step",
     "train",
     "seed_sweep",
+    "best_run",
     "multi_run",
 ]
 
 MOMENTUM_COEFF = 0.9
 
 _MASK64 = (1 << 64) - 1
-
-
-class Optimizer(enum.Enum):
-    PLAIN = "plain"
-    MOMENTUM = "momentum"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -121,7 +113,6 @@ class TrainingConfig:
     loss_target: float = 1e-8
     seed: int = 0
     init_scale: float = 0.5
-    optimizer: Optimizer = Optimizer.MOMENTUM
 
     def __post_init__(self):
         if self.hidden_count < 1:
@@ -156,45 +147,6 @@ class TrainingRun:
     loss_history: list[float]
 
 
-@dataclass(frozen=True)
-class MomentumState:
-    """Velocity carried between momentum steps, one vector per parameter group."""
-
-    output_weights: np.ndarray
-    hidden_biases: np.ndarray
-    input_weights: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_count: int) -> "MomentumState":
-        return cls(np.zeros(hidden_count), np.zeros(hidden_count), np.zeros(hidden_count))
-
-
-def gd_step(params: NetworkParams, grad: ParamGradient, cfg: TrainingConfig,
-            state: MomentumState | None = None) -> tuple[NetworkParams, MomentumState | None]:
-    """One descent step with per-group rates; returns updated params and velocity.
-
-    Plain descent ignores (and returns) no velocity.  Momentum uses
-    vel <- 0.9 vel + lr * grad, p <- p - vel, with velocity threaded by the
-    caller; a missing state means zero velocity.
-    """
-    if cfg.optimizer is Optimizer.PLAIN:
-        return NetworkParams(
-            params.output_weights - cfg.lr_v * grad.d_output_weights,
-            params.hidden_biases - cfg.lr_u * grad.d_hidden_biases,
-            params.input_weights - cfg.lr_w * grad.d_input_weights,
-        ), None
-    if state is None:
-        state = MomentumState.zeros(params.hidden_count)
-    vel_v = MOMENTUM_COEFF * state.output_weights + cfg.lr_v * grad.d_output_weights
-    vel_u = MOMENTUM_COEFF * state.hidden_biases + cfg.lr_u * grad.d_hidden_biases
-    vel_w = MOMENTUM_COEFF * state.input_weights + cfg.lr_w * grad.d_input_weights
-    return NetworkParams(
-        params.output_weights - vel_v,
-        params.hidden_biases - vel_u,
-        params.input_weights - vel_w,
-    ), MomentumState(vel_v, vel_u, vel_w)
-
-
 def train(cfg: TrainingConfig) -> TrainingRun:
     """Run gradient descent until the loss target, divergence, or the iteration cap.
 
@@ -207,7 +159,6 @@ def train(cfg: TrainingConfig) -> TrainingRun:
     u = start.hidden_biases.copy()
     w = start.input_weights.copy()
 
-    momentum = cfg.optimizer is Optimizer.MOMENTUM
     mu = MOMENTUM_COEFF
     vel_v = np.zeros_like(v)
     vel_u = np.zeros_like(u)
@@ -220,21 +171,17 @@ def train(cfg: TrainingConfig) -> TrainingRun:
     history = [total]
     used = 0
     while used < cfg.max_iterations and total > cfg.loss_target:
-        # updates run in place; v/u/w and the velocities are loop-owned copies
-        if momentum:
-            vel_v *= mu
-            vel_v += lr_v * g_v
-            vel_u *= mu
-            vel_u += lr_u * g_u
-            vel_w *= mu
-            vel_w += lr_w * g_w
-            v -= vel_v
-            u -= vel_u
-            w -= vel_w
-        else:
-            v -= lr_v * g_v
-            u -= lr_u * g_u
-            w -= lr_w * g_w
+        # momentum step, in place: vel <- mu vel + lr grad, p <- p - vel;
+        # v/u/w and the velocities are loop-owned copies
+        vel_v *= mu
+        vel_v += lr_v * g_v
+        vel_u *= mu
+        vel_u += lr_u * g_u
+        vel_w *= mu
+        vel_w += lr_w * g_w
+        v -= vel_v
+        u -= vel_u
+        w -= vel_w
         used += 1
         total, _, _, g_v, g_u, g_w = evaluator.evaluate(v, u, w)
         if not math.isfinite(total):
@@ -261,11 +208,16 @@ def seed_sweep(cfg: TrainingConfig, run_count: int) -> list[TrainingRun | None]:
     return results
 
 
+def best_run(runs: list[TrainingRun | None]) -> TrainingRun | None:
+    """Lowest final loss in a seed_sweep result, ties to the lower seed; None if all diverged."""
+    survivors = [run for run in runs if run is not None]
+    # min keeps the first of equal keys, so ties go to the lower seed
+    return min(survivors, key=lambda run: run.final_loss, default=None)
+
+
 def multi_run(cfg: TrainingConfig, run_count: int) -> TrainingRun:
     """Best run (lowest final loss, ties to the lower seed) over consecutive seeds."""
-    results = seed_sweep(cfg, run_count)
-    survivors = [(run.final_loss, offset, run) for offset, run in enumerate(results) if run is not None]
-    if not survivors:
+    best = best_run(seed_sweep(cfg, run_count))
+    if best is None:
         raise AllRunsDivergedError(f"all {run_count} seeds starting at {cfg.seed} diverged")
-    survivors.sort(key=lambda item: (item[0], item[1]))
-    return survivors[0][2]
+    return best

@@ -10,7 +10,10 @@ y'(0) = 0 hold identically, whatever the network does.  Two families:
   is enforced by a penalty term in the training loss instead.
 
 Derivatives of y follow from the Leibniz rule on F * N; A and F derivatives
-are hand-coded closed forms.
+are hand-coded closed forms.  trial_jet turns both into the per-row linear
+map y_k = A^(k) + sum_j C(k, j) F^(j) N^(k-j) of a NetworkJet, which every
+trial-solution path evaluates; the scalar functions below are one-row
+wrappers around it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams, ParamGradient, input_derivative, param_gradient
+from .network import NetworkJet, NetworkParams, ParamGradient
 
 __all__ = [
     "TrialMode",
     "TrialSpec",
+    "trial_jet",
     "trial_value",
     "trial_derivative",
     "trial_param_gradient",
@@ -85,36 +89,35 @@ def envelope_terms(mode: TrialMode, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return (x**2, 2.0 * x, np.full_like(x, 2.0), np.zeros_like(x))
 
 
-def _check_point(spec: TrialSpec, x: float) -> float:
-    x = float(x)
-    if not np.isfinite(x) or x < 0.0 or x > spec.domain_end:
-        raise ValueError(f"x = {x} outside the trial domain [0, {spec.domain_end}]")
-    return x
+def trial_jet(spec: TrialSpec, xs, cotangent_orders=(0,)) -> NetworkJet:
+    """NetworkJet of y, y', y'', y''' at the abscissae xs, which must lie in [0, L].
 
-
-def _scalar_terms(terms_fn, mode, x):
-    return tuple(float(t) for t in terms_fn(mode, np.float64(x)))
+    Row k of the Leibniz map puts C(k, j) F^(j) on N^(k-j); the offset row
+    holds A and its derivatives.
+    """
+    xs = np.array(xs, dtype=np.float64)
+    outside = ~((xs >= 0.0) & (xs <= spec.domain_end))  # NaN counts as outside
+    if outside.any():
+        raise ValueError(f"x = {xs[outside][0]} outside the trial domain [0, {spec.domain_end}]")
+    f = envelope_terms(spec.mode, xs)
+    linear = np.zeros((xs.size, 4, 4))
+    for k, row in enumerate(_BINOM):
+        for j, coeff in enumerate(row):
+            linear[:, k, k - j] = coeff * f[j]
+    offset = np.stack(offset_terms(spec.mode, xs), axis=1)
+    return NetworkJet(xs, offset, linear, cotangent_orders)
 
 
 def trial_value(spec: TrialSpec, params: NetworkParams, x: float) -> float:
     """y(x) = A(x) + F(x) N(x)."""
-    x = _check_point(spec, x)
-    a = _scalar_terms(offset_terms, spec.mode, x)
-    f = _scalar_terms(envelope_terms, spec.mode, x)
-    return a[0] + f[0] * input_derivative(params, x, 0)
+    return float(trial_jet(spec, [x]).values(params)[0, 0])
 
 
 def trial_derivative(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> float:
     """k-th derivative of the trial solution at x, for k in 1..3 (Leibniz on F N)."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be in 1..3, got {order}")
-    x = _check_point(spec, x)
-    a = _scalar_terms(offset_terms, spec.mode, x)
-    f = _scalar_terms(envelope_terms, spec.mode, x)
-    total = a[order]
-    for j, coeff in enumerate(_BINOM[order]):
-        total += coeff * f[j] * input_derivative(params, x, order - j)
-    return total
+    return float(trial_jet(spec, [x]).values(params)[0, order])
 
 
 def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> ParamGradient:
@@ -125,18 +128,4 @@ def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
-    x = _check_point(spec, x)
-    f = _scalar_terms(envelope_terms, spec.mode, x)
-    h = params.hidden_count
-    d_v = np.zeros(h)
-    d_u = np.zeros(h)
-    d_w = np.zeros(h)
-    for j, coeff in enumerate(_BINOM[order]):
-        scale = coeff * f[j]
-        if scale == 0.0:
-            continue
-        part = param_gradient(params, x, order - j)
-        d_v += scale * part.d_output_weights
-        d_u += scale * part.d_hidden_biases
-        d_w += scale * part.d_input_weights
-    return ParamGradient(d_v, d_u, d_w)
+    return trial_jet(spec, [x], (order,)).gradient(params)

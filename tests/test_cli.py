@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blasius_net import load_model, load_table, read_profile_csv, rk4_profile, series_eval, shoot
+from blasius_net import cli, training
 from blasius_net.cli import run_cli
 
 QUICK_SOLVE = ["solve", "--hidden", "3", "--points", "6", "--iterations", "200", "--seed", "0"]
@@ -36,6 +37,27 @@ def test_solve_is_byte_deterministic(tmp_path):
     assert run_cli(QUICK_SOLVE + ["--out", str(first)]) == 0
     assert run_cli(QUICK_SOLVE + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_solve_sweeps_each_seed_once(monkeypatch, capsys):
+    calls = []
+
+    def counting_train(cfg):
+        calls.append(cfg.seed)
+        return original(cfg)
+
+    original = training.train
+    monkeypatch.setattr(training, "train", counting_train)
+    monkeypatch.setattr(cli, "train", counting_train)
+    code = run_cli(QUICK_SOLVE + ["--runs", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert calls == [0, 1, 2]
+    assert captured.out == (
+        "mode=penalty hidden=3 points=6 domain_end=6 seed=0 runs=3\n"
+        "final loss: best=7.352425e-03 mean=2.252596e-02 min=7.352425e-03 max=3.053411e-02\n"
+        "best run: iterations=200 initial_loss=8.850879e+00\n"
+    )
 
 
 def test_solve_reports_diverged_seeds(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blasius_net import NetworkParams, forward, param_gradient
+from blasius_net import NetworkParams, input_derivative, param_gradient
 from blasius_net.gradcheck import (
     GradCheckResult,
     fd_param_gradient,
@@ -14,7 +14,7 @@ from blasius_net.gradcheck import (
 
 def test_fd_param_gradient_matches_analytic_forward():
     params = NetworkParams([0.4, -0.9], [0.2, 0.1], [1.1, -0.3])
-    numeric = fd_param_gradient(lambda p: forward(p, 1.3), params)
+    numeric = fd_param_gradient(lambda p: input_derivative(p, 1.3, 0), params)
     analytic = param_gradient(params, 1.3, 0)
     assert np.allclose(numeric[0], analytic.d_output_weights, atol=1e-8)
     assert np.allclose(numeric[1], analytic.d_hidden_biases, atol=1e-8)

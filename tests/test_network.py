@@ -3,67 +3,77 @@
 import numpy as np
 import pytest
 
-from blasius_net import (
-    NetworkParams,
-    forward,
-    input_derivative,
-    param_gradient,
-    sigmoid_derivative,
-)
-from blasius_net.network import MAX_DERIVATIVE_ORDER
+from blasius_net import NetworkParams, input_derivative, param_gradient
+from blasius_net.network import MAX_DERIVATIVE_ORDER, _sigmoid_stack
 
-from helpers import central_diff, fd_param_triple, gradient_triple, max_normalized_diff, random_params
+from helpers import (
+    central_diff,
+    fd_param_triple,
+    gradient_triple,
+    max_normalized_diff,
+    random_params,
+    ref_input_derivative,
+    ref_sigmoid,
+)
+
+TOP = MAX_DERIVATIVE_ORDER + 1  # the stack goes one order past the input derivatives
+
+
+def sigmoid_stack(z):
+    """sigma and its first four derivatives on z, as a (5,) + z.shape array."""
+    return _sigmoid_stack(np.asarray(z, dtype=np.float64), TOP)
 
 
 def test_sigmoid_midpoint_values():
-    assert sigmoid_derivative(0.0, 0) == 0.5
-    assert sigmoid_derivative(0.0, 1) == 0.25
-    assert sigmoid_derivative(0.0, 2) == 0.0
-    assert sigmoid_derivative(0.0, 3) == -0.125
+    assert sigmoid_stack([0.0])[:, 0].tolist() == [0.5, 0.25, 0.0, -0.125, 0.0]
 
 
 def test_sigmoid_saturates_without_overflow():
-    assert sigmoid_derivative(1000.0, 0) == 1.0
-    assert sigmoid_derivative(-1000.0, 0) == 0.0
-    for order in range(1, MAX_DERIVATIVE_ORDER + 1):
-        assert sigmoid_derivative(1000.0, order) == 0.0
-        assert sigmoid_derivative(-1000.0, order) == 0.0
+    with np.errstate(all="raise"):
+        stack = sigmoid_stack([1000.0, -1000.0])
+    assert stack[0].tolist() == [1.0, 0.0]
+    assert np.all(stack[1:] == 0.0)
 
 
 def test_sigmoid_symmetry():
     rng = np.random.default_rng(7)
-    for z in rng.uniform(-8.0, 8.0, 50):
-        assert sigmoid_derivative(-z, 0) == pytest.approx(1.0 - sigmoid_derivative(z, 0), abs=1e-15)
-        # first derivative is even, second is odd
-        assert sigmoid_derivative(-z, 1) == pytest.approx(sigmoid_derivative(z, 1), abs=1e-16)
-        assert sigmoid_derivative(-z, 2) == pytest.approx(-sigmoid_derivative(z, 2), abs=1e-16)
+    z = rng.uniform(-8.0, 8.0, 50)
+    plus = sigmoid_stack(z)
+    minus = sigmoid_stack(-z)
+    np.testing.assert_allclose(minus[0], 1.0 - plus[0], rtol=0, atol=1e-15)
+    # odd-order derivatives are even functions, even-order ones odd
+    for order in range(1, TOP + 1):
+        sign = 1.0 if order % 2 else -1.0
+        atol = 1e-16 if order <= 2 else 1e-15
+        np.testing.assert_allclose(minus[order], sign * plus[order], rtol=0, atol=atol)
 
 
 def test_sigmoid_derivatives_match_finite_differences():
     rng = np.random.default_rng(11)
-    for order in range(1, MAX_DERIVATIVE_ORDER + 1):
-        for z in rng.uniform(-6.0, 6.0, 100):
-            numeric = central_diff(lambda t: sigmoid_derivative(t, order - 1), z)
-            analytic = sigmoid_derivative(z, order)
-            assert analytic == pytest.approx(numeric, abs=1e-9, rel=1e-7)
+    z = rng.uniform(-6.0, 6.0, 100)
+    analytic = sigmoid_stack(z)
+    for order in range(1, TOP + 1):
+        numeric = central_diff(lambda t: sigmoid_stack(t)[order - 1], z)
+        np.testing.assert_allclose(analytic[order], numeric, atol=1e-9, rtol=1e-7)
 
 
 def test_sigmoid_order_validation():
+    z = np.zeros(3)
     with pytest.raises(ValueError):
-        sigmoid_derivative(0.0, MAX_DERIVATIVE_ORDER + 1)
+        _sigmoid_stack(z, TOP + 1)
     with pytest.raises(ValueError):
-        sigmoid_derivative(0.0, -1)
+        _sigmoid_stack(z, -1)
     with pytest.raises(TypeError):
-        sigmoid_derivative(0.0, True)
+        _sigmoid_stack(z, True)
     with pytest.raises(TypeError):
-        sigmoid_derivative(0.0, 1.0)
+        _sigmoid_stack(z, 1.0)
 
 
 def test_forward_single_saturating_unit():
     # w = 0 makes the unit constant: 2 * sigmoid(0) = 1 for any input
     params = NetworkParams([2.0], [0.0], [0.0])
-    assert forward(params, 7.3) == 1.0
-    assert forward(params, -2.0) == 1.0
+    assert input_derivative(params, 7.3, 0) == 1.0
+    assert input_derivative(params, -2.0, 0) == 1.0
 
 
 def test_forward_matches_manual_sum():
@@ -72,17 +82,18 @@ def test_forward_matches_manual_sum():
         params = random_params(rng, 7)
         x = rng.uniform(-3.0, 3.0)
         manual = sum(
-            v * sigmoid_derivative(w * x + u, 0)
+            v * ref_sigmoid(w * x + u, 0)
             for v, u, w in zip(params.output_weights, params.hidden_biases, params.input_weights)
         )
-        assert forward(params, x) == pytest.approx(manual, rel=1e-14, abs=1e-14)
+        assert input_derivative(params, x, 0) == pytest.approx(manual, rel=1e-14, abs=1e-14)
 
 
 def test_input_derivative_order_zero_is_forward():
     rng = np.random.default_rng(31)
     params = random_params(rng, 5)
     for x in rng.uniform(-2.0, 6.0, 10):
-        assert input_derivative(params, x, 0) == forward(params, x)
+        assert input_derivative(params, x, 0) == pytest.approx(
+            ref_input_derivative(params, x, 0), rel=1e-14, abs=1e-14)
 
 
 def test_input_derivative_single_unit_closed_form():
@@ -90,7 +101,7 @@ def test_input_derivative_single_unit_closed_form():
     x = 1.2
     z = -0.7 * x + 0.3
     for order in range(MAX_DERIVATIVE_ORDER + 1):
-        expected = 1.5 * (-0.7) ** order * sigmoid_derivative(z, order)
+        expected = 1.5 * (-0.7) ** order * ref_sigmoid(z, order)
         assert input_derivative(params, x, order) == pytest.approx(expected, rel=1e-15)
 
 
@@ -133,7 +144,7 @@ def test_param_gradient_finite_at_zero_input_weight():
         for part in gradient_triple(grad):
             assert np.all(np.isfinite(part))
     analytic = gradient_triple(param_gradient(params, 1.3, 0))
-    numeric = fd_param_triple(lambda p: forward(p, 1.3), params)
+    numeric = fd_param_triple(lambda p: input_derivative(p, 1.3, 0), params)
     assert max_normalized_diff(analytic, numeric) <= 1e-5
 
 

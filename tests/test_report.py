@@ -46,8 +46,9 @@ def test_evaluate_profile_with_silent_network():
 
 def test_evaluate_profile_rejects_outside_domain():
     params = NetworkParams(np.zeros(2), np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        evaluate_profile(PAPER, params, [0.0, 6.5])
+    for etas in ([0.0, 6.5], [0.0, np.nan, 1.0], [-0.5, 1.0], [np.nan]):
+        with pytest.raises(ValueError, match="outside the trial domain"):
+            evaluate_profile(PAPER, params, etas)
 
 
 def tiny_table(etas, own, refs):

@@ -7,7 +7,7 @@ from blasius_net import (
     NetworkParams,
     TrialMode,
     TrialSpec,
-    forward,
+    input_derivative,
     trial_derivative,
     trial_param_gradient,
     trial_value,
@@ -73,7 +73,7 @@ def test_trial_forms_match_direct_expressions():
     for _ in range(30):
         params = random_params(rng, 4)
         x = rng.uniform(0.0, 6.0)
-        n = forward(params, x)
+        n = input_derivative(params, x, 0)
         paper = (x**3 + x**2) + x**2 * (x - 6.0) ** 2 * n
         penalty = x**2 * n
         assert trial_value(PAPER, params, x) == pytest.approx(paper, rel=1e-13, abs=1e-13)
