@@ -33,7 +33,6 @@ from .training import (
     train,
 )
 from .oracles import (
-    BracketError,
     IntegrationError,
     SeriesCoefficients,
     SeriesNotConvergedError,
@@ -73,7 +72,7 @@ __all__ = [
     "MOMENTUM_COEFF", "TrainingConfig", "TrainingRun",
     "TrainingDivergedError", "AllRunsDivergedError", "XorShift64Star",
     "init_params", "train", "seed_sweep", "best_run", "multi_run",
-    "SeriesCoefficients", "SeriesNotConvergedError", "IntegrationError", "BracketError",
+    "SeriesCoefficients", "SeriesNotConvergedError", "IntegrationError",
     "series_coefficients", "series_eval", "series_tail_estimate", "rk4_profile", "shoot",
     "SolutionProfile", "format_float", "write_profile_csv", "read_profile_csv",
     "PrintedError", "ReferenceColumn", "ReferenceTable", "parse_printed_error",

@@ -15,9 +15,7 @@ All numeric parsing/printing is locale-independent.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
 from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
 from .problem import CollocationGrid, DEFAULT_PENALTY_WEIGHT
-from .profiles import format_float, write_profile_csv
+from .profiles import atomic_write_text, format_float, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
@@ -62,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="classical RK4 shooting solution")
     oracle.add_argument("--eta-max", type=float, default=10.0)
     oracle.add_argument("--step", type=float, default=1e-3)
-    oracle.add_argument("--tol", type=float, default=1e-10)
+    oracle.add_argument("--tol", type=float, default=1e-10,
+                        help="largest |f''| accepted at the shooting run's far horizon")
     oracle.add_argument("--out", help="write the profile CSV here instead of stdout")
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -132,8 +131,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # always shoot against a far horizon, even when a short profile is asked for
-    sigma = shoot(eta_far=max(args.eta_max, 10.0), tol=args.tol, step=args.step)
+    # always shoot against a far horizon, even when a short profile is asked for;
+    # --step sets the output grid only, so sigma does not depend on it
+    sigma = shoot(eta_far=max(args.eta_max, 10.0), tol=args.tol)
     profile = rk4_profile(sigma, args.eta_max, args.step)
     comments = {"sigma": format_float(sigma)}
     if args.out:
@@ -173,9 +173,7 @@ def _cmd_compare(args) -> int:
             f"{row.rel_error:.6e}", "1" if row.absolute else "0"]))
     text = "\n".join(lines) + "\n"
     if args.out:
-        tmp = Path(args.out).with_name(Path(args.out).name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, args.out)
+        atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

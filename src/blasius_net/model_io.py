@@ -16,13 +16,12 @@ Writes go to a temp file in the target directory and are renamed into place.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .network import NetworkParams
-from .profiles import format_float
+from .profiles import atomic_write_text, format_float
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["MODEL_HEADER", "ModelFormatError", "ModelVersionError", "save_model", "load_model"]
@@ -45,7 +44,6 @@ class ModelVersionError(ModelFormatError):
 
 def save_model(params: NetworkParams, spec: TrialSpec, path) -> None:
     """Write params and spec to path (atomic: temp file then rename)."""
-    path = Path(path)
     lines = [
         MODEL_HEADER,
         f"mode={spec.mode.value}",
@@ -55,9 +53,7 @@ def save_model(params: NetworkParams, spec: TrialSpec, path) -> None:
         "u=" + ",".join(format_float(x) for x in params.hidden_biases),
         "w=" + ",".join(format_float(x) for x in params.input_weights),
     ]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _expect_field(line: str, line_number: int, key: str) -> str:

@@ -5,8 +5,10 @@ f'(inf) = 1:
 
 * a wall power series whose integer coefficients A_k obey an exact recurrence,
   valid inside its finite convergence region near the wall;
-* fixed-step classical RK4 integration of the initial-value problem, wrapped
-  in a bisection shoot on the wall curvature sigma = f''(0).
+* fixed-step classical RK4 integration of the initial-value problem, with
+  the wall curvature sigma = f''(0) taken from one unit-curvature run by
+  Toepfer's scaling: if f solves the equation, so does a f(a eta), with
+  curvature a^3 and far slope a^2 times that of f.
 
 The two agree to well below 1e-6 where both apply, which is what makes them
 usable as cross-checks for the trained network.
@@ -26,7 +28,6 @@ __all__ = [
     "SeriesCoefficients",
     "SeriesNotConvergedError",
     "IntegrationError",
-    "BracketError",
     "series_coefficients",
     "series_eval",
     "series_tail_estimate",
@@ -42,11 +43,7 @@ class SeriesNotConvergedError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """RK4 state stopped being finite."""
-
-
-class BracketError(RuntimeError):
-    """Shooting bracket invalid or bisection failed to converge."""
+    """RK4 state stopped being finite, or its far field did not settle."""
 
 
 @dataclass(frozen=True)
@@ -161,25 +158,23 @@ def _rk4_step(f: float, g: float, h: float, dt: float) -> tuple[float, float, fl
     )
 
 
-def _far_slope(sigma0: float, eta_far: float, step: float) -> float:
-    """f'(eta_far) for the IVP started at curvature sigma0 (no row storage)."""
-    n_full = int(math.floor(eta_far / step + 1e-12))
-    remainder = eta_far - n_full * step
-    f, g, h = 0.0, 0.0, sigma0
-    for _ in range(n_full):
-        f, g, h = _rk4_step(f, g, h, step)
-    if remainder > 1e-12 * max(1.0, eta_far):
-        f, g, h = _rk4_step(f, g, h, remainder)
-    if not math.isfinite(f + g + h):
-        raise IntegrationError(f"state non-finite integrating to eta = {eta_far}")
-    return g
+def _far_slope(sigma0: float, eta_far: float, step: float, tol: float) -> float:
+    """f'(eta_far) for the IVP started at curvature sigma0, once |f''(eta_far)| <= tol."""
+    profile = rk4_profile(sigma0, eta_far, step)
+    curvature = abs(float(profile.fpp[-1]))
+    if curvature > tol:
+        raise IntegrationError(
+            f"far field not settled: |f''({eta_far})| = {curvature:.3e} exceeds tol = {tol:g}")
+    return float(profile.fp[-1])
 
 
 def shoot(eta_far: float = 10.0, tol: float = 1e-10, step: float = 1e-3) -> float:
-    """Wall curvature sigma = f''(0) by bisection on f'(eta_far) - 1.
+    """Wall curvature sigma = f''(0) from one unit-curvature RK4 run.
 
-    The bracket is fixed at sigma in [0.1, 1.0]; f'(eta_far) is increasing in
-    sigma, so a valid problem gives opposite signs at the ends.
+    With lambda = f'(eta_far) of the run started at f''(0) = 1, the solution
+    with far slope one is a f(a eta) for a = lambda^(-1/2), whose curvature is
+    a^3 = lambda^(-3/2).  tol bounds |f''(eta_far)| of that run: a far field
+    that has not settled raises IntegrationError.
     """
     if eta_far < 8.0:
         raise ValueError("eta_far must be at least 8 for a far-field slope to make sense")
@@ -187,20 +182,4 @@ def shoot(eta_far: float = 10.0, tol: float = 1e-10, step: float = 1e-3) -> floa
         raise ValueError("tol must be positive")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be positive")
-    lo, hi = 0.1, 1.0
-    g_lo = _far_slope(lo, eta_far, step) - 1.0
-    g_hi = _far_slope(hi, eta_far, step) - 1.0
-    if g_lo >= 0.0 or g_hi <= 0.0:
-        raise BracketError(
-            f"bracket [{lo}, {hi}] does not straddle the target slope "
-            f"(ends give {g_lo:+.3e}, {g_hi:+.3e})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = _far_slope(mid, eta_far, step) - 1.0
-        if abs(g_mid) <= tol:
-            return mid
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise BracketError(f"bisection failed to reach |f'({eta_far}) - 1| <= {tol}")
+    return _far_slope(1.0, eta_far, step, tol) ** -1.5

@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["SolutionProfile", "format_float", "write_profile_csv", "read_profile_csv"]
+__all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profile_csv",
+           "read_profile_csv"]
 
 CSV_HEADER = "eta,f,fp,fpp"
 
@@ -96,12 +97,14 @@ def write_profile_csv(profile: SolutionProfile, destination, comments: dict | No
         lines.append(",".join(format_float(x) for x in (eta, f, fp, fpp)))
     text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, Path)):
-        _atomic_write_text(Path(destination), text)
+        atomic_write_text(destination, text)
     else:
         destination.write(text)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path through a ``<name>.tmp`` sibling and an atomic rename."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

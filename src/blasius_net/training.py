@@ -188,9 +188,8 @@ def train(cfg: TrainingConfig) -> TrainingRun:
             raise TrainingDivergedError(used)
         history.append(total)
 
-    final = NetworkParams(v, u, w)
-    final_loss = evaluator.report(final).total
-    return TrainingRun(final_params=final, final_loss=final_loss,
+    # total was evaluated at the final v, u, w by the loop's last call
+    return TrainingRun(final_params=NetworkParams(v, u, w), final_loss=total,
                        iterations_used=used, loss_history=history)
 
 

@@ -5,7 +5,15 @@ import io
 import numpy as np
 import pytest
 
-from blasius_net import load_model, load_table, read_profile_csv, rk4_profile, series_eval, shoot
+from blasius_net import (
+    format_float,
+    load_model,
+    load_table,
+    read_profile_csv,
+    rk4_profile,
+    series_eval,
+    shoot,
+)
 from blasius_net import cli, training
 from blasius_net.cli import run_cli
 
@@ -105,6 +113,14 @@ def test_oracle_stdout(capsys):
     assert code == 0
     profile = read_profile_csv(io.StringIO(captured.out))
     assert len(profile) == 3
+    # --step sets the output grid only; sigma is shot at the default step
+    assert run_cli(["oracle", "--eta-max", "1.0"]) == 0
+    default = capsys.readouterr()
+    assert captured.out.splitlines()[0] == default.out.splitlines()[0]
+    assert captured.out.splitlines()[0] == f"# sigma = {format_float(shoot())}"
+    # a far field that cannot settle to --tol fails with the oracle's message
+    assert run_cli(["oracle", "--tol", "1e-30"]) == 1
+    assert "far field not settled" in capsys.readouterr().err
 
 
 def test_series_prints_value(capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blasius_net import (
-    BracketError,
     IntegrationError,
     SeriesNotConvergedError,
     rk4_profile,
@@ -132,9 +131,13 @@ def test_rk4_blowup_raises():
 
 def test_shoot_matches_reference(sigma):
     assert abs(sigma - SIGMA_REF) <= 5e-6
-    # bisection with fixed bracket and tolerance is fully deterministic
+    # one fixed-step RK4 run and a power: fully deterministic
     assert abs(sigma - 0.3320573372067884) <= 1e-9
     assert shoot() == sigma
+    # Boyd, "The Blasius function in the complex plane", Exp. Math. 1999
+    assert abs(sigma - 0.332057336215196) <= 1e-12
+    # RK4's h^4 error at a ten times coarser step stays below 1e-11
+    assert abs(shoot(step=1e-2) - sigma) <= 1e-11
 
 
 def test_shoot_bracket_is_monotone():
@@ -150,6 +153,9 @@ def test_shoot_validation():
         shoot(tol=0.0)
     with pytest.raises(ValueError):
         shoot(step=-1e-3)
+    # too coarse a step leaves |f''(eta_far)| far above tol: refused, not returned
+    with pytest.raises(IntegrationError, match="far field not settled"):
+        shoot(step=0.5)
 
 
 def test_rk4_against_scipy_integrator(sigma):

@@ -177,6 +177,8 @@ def test_train_replays_momentum_update():
     assert np.array_equal(run.final_params.output_weights, params[0])
     assert np.array_equal(run.final_params.hidden_biases, params[1])
     assert np.array_equal(run.final_params.input_weights, params[2])
+    # the loop's last loss is the loss a fresh evaluation of the final params gives
+    assert run.final_loss == evaluator.report(run.final_params).total
 
 
 def test_seed_sweep_fingerprint_is_bit_exact():
@@ -187,6 +189,7 @@ def test_seed_sweep_fingerprint_is_bit_exact():
 def test_train_stops_at_loss_target():
     run = train(TrainingConfig(loss_target=1.0))
     assert run.final_loss <= 1.0
+    assert run.final_loss == run.loss_history[-1]
     assert run.loss_history[-2] > 1.0
     assert run.iterations_used < 50000
 
