@@ -14,10 +14,8 @@ from .problem import (
     CollocationGrid,
     LossEvaluator,
     LossReport,
-    blasius_residual,
     loss,
     loss_gradient,
-    residual_at,
 )
 from .training import (
     MOMENTUM_COEFF,
@@ -68,7 +66,7 @@ __all__ = [
     "NetworkParams", "ParamGradient", "input_derivative", "param_gradient",
     "TrialMode", "TrialSpec", "trial_value", "trial_derivative", "trial_param_gradient",
     "DEFAULT_PENALTY_WEIGHT", "CollocationGrid", "LossEvaluator", "LossReport",
-    "blasius_residual", "loss", "loss_gradient", "residual_at",
+    "loss", "loss_gradient",
     "MOMENTUM_COEFF", "TrainingConfig", "TrainingRun",
     "TrainingDivergedError", "AllRunsDivergedError", "XorShift64Star",
     "init_params", "train", "seed_sweep", "best_run", "multi_run",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .network import NetworkJet, NetworkParams
 from .problem import CollocationGrid, LossEvaluator
-from .training import XorShift64Star
+from .training import XorShift64Star, _draw_params
 from .trial import TrialMode, TrialSpec, trial_jet
 
 __all__ = ["GradCheckResult", "fd_param_gradient", "run_gradient_checks"]
@@ -35,27 +35,20 @@ class GradCheckResult:
 
 
 def _perturbed(params: NetworkParams, group: int, index: int, delta: float) -> NetworkParams:
-    arrays = [
-        params.output_weights.copy(),
-        params.hidden_biases.copy(),
-        params.input_weights.copy(),
-    ]
-    arrays[group][index] += delta
-    return NetworkParams(*arrays)
+    weights = params.weights.copy()
+    weights[group, index] += delta
+    return NetworkParams(*weights)
 
 
-def fd_param_gradient(objective, params: NetworkParams, step: float = FD_STEP):
-    """Central-difference gradient of objective(params) over all three groups."""
-    h = params.hidden_count
-    grads = []
+def fd_param_gradient(objective, params: NetworkParams, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of objective(params), shaped like params.weights."""
+    grad = np.empty(params.weights.shape)
     for group in range(3):
-        grad = np.empty(h)
-        for i in range(h):
+        for i in range(params.hidden_count):
             up = objective(_perturbed(params, group, i, +step))
             down = objective(_perturbed(params, group, i, -step))
-            grad[i] = (up - down) / (2.0 * step)
-        grads.append(grad)
-    return tuple(grads)
+            grad[group, i] = (up - down) / (2.0 * step)
+    return grad
 
 
 def gradient_discrepancy(analytic, numeric) -> float:
@@ -65,13 +58,6 @@ def gradient_discrepancy(analytic, numeric) -> float:
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(n))), SCALE_FLOOR)
         worst = max(worst, float(np.max(np.abs(a - n))) / scale)
     return worst
-
-
-def _random_params(rng: XorShift64Star, hidden: int) -> NetworkParams:
-    v = [rng.uniform(-1.0, 1.0) for _ in range(hidden)]
-    u = [rng.uniform(-1.0, 1.0) for _ in range(hidden)]
-    w = [rng.uniform(-1.0, 1.0) for _ in range(hidden)]
-    return NetworkParams(v, u, w)
 
 
 def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
@@ -90,10 +76,9 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
         # probe(rng) -> (analytic gradient, scalar objective), after each parameter draw
         worst = 0.0
         for _ in range(draws):
-            params = _random_params(rng, hidden)
+            params = _draw_params(rng, hidden, 1.0)
             gradient, objective = probe(rng)
-            grad = gradient(params)
-            analytic = (grad.d_output_weights, grad.d_hidden_biases, grad.d_input_weights)
+            analytic = gradient(params).weights
             numeric = fd_param_gradient(objective, params, step)
             worst = max(worst, gradient_discrepancy(analytic, numeric))
         results.append(GradCheckResult(name=name, draws=draws, max_rel_error=worst,

@@ -49,10 +49,9 @@ def save_model(params: NetworkParams, spec: TrialSpec, path) -> None:
         f"mode={spec.mode.value}",
         f"domain_end={format_float(spec.domain_end)}",
         f"hidden={params.hidden_count}",
-        "v=" + ",".join(format_float(x) for x in params.output_weights),
-        "u=" + ",".join(format_float(x) for x in params.hidden_biases),
-        "w=" + ",".join(format_float(x) for x in params.input_weights),
     ]
+    lines += [key + "=" + ",".join(format_float(x) for x in row)
+              for key, row in zip("vuw", params.weights)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -17,16 +17,20 @@ _sigmoid_stack is the only place these formulas appear.  The fourth
 derivative never leaves this module: it only feeds the parameter gradients of
 the third input derivative.
 
+The parameters travel as one (3, H) float64 array theta with rows v, u, w:
+NetworkParams and ParamGradient store it as ``weights``, and NetworkJet reads
+theta and returns gradients in the same layout.
+
 NetworkJet is the one implementation of the rest.  It evaluates n_0..n_3 at
 fixed abscissae, maps them per row through a fixed linear map (a trial
 solution's Leibniz rule, or the identity for the bare network), and pulls
-cotangents on the mapped values back onto (v, u, w).  input_derivative and
+cotangents on the mapped values back onto theta.  input_derivative and
 param_gradient are one-row wrappers around it, too slow for any hot loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,58 +45,62 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 3
 
 
-def _locked_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional vector")
-    if arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.flags.writeable = False
-    return arr
+def _lock_weights(obj, rows) -> None:
+    """Store the three vectors as obj.weights: one locked float64 (3, H) copy."""
+    try:
+        weights = np.array(rows, dtype=np.float64)
+    except ValueError as exc:  # ragged rows, or an entry that is no number
+        raise ValueError(f"weight groups must be numeric vectors of one length: {exc}") from None
+    if weights.ndim != 2:
+        raise ValueError("weight groups must be one-dimensional vectors")
+    if weights.shape[1] == 0:
+        raise ValueError("weight groups must not be empty")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights contain non-finite entries")
+    weights.flags.writeable = False
+    object.__setattr__(obj, "weights", weights)
 
 
-def _lock_fields(obj, mismatch: str) -> None:
-    """Replace every field of a frozen dataclass by a locked copy; all must share one length."""
-    arrays = {f.name: _locked_vector(getattr(obj, f.name), f.name) for f in fields(obj)}
-    if len({arr.shape for arr in arrays.values()}) != 1:
-        raise ValueError(mismatch)
-    for name, arr in arrays.items():
-        object.__setattr__(obj, name, arr)
+def _row(index: int, doc: str) -> property:
+    return property(lambda self: self.weights[index], doc=doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkParams:
     """Weights of the network: output weights v, hidden biases u, input weights w.
 
-    All three vectors share one length H (the hidden-unit count).  Arrays are
-    copied and locked read-only on construction; build a new instance to change
-    anything.
+    weights holds them as rows 0, 1, 2 of one (3, H) array (H = hidden-unit
+    count); the named attributes are read-only views of those rows.  The
+    vectors are copied and locked on construction; build a new instance to
+    change anything.
     """
 
-    output_weights: np.ndarray
-    hidden_biases: np.ndarray
-    input_weights: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        _lock_fields(self, "output_weights, hidden_biases and input_weights must share one length")
+    def __init__(self, output_weights, hidden_biases, input_weights):
+        _lock_weights(self, (output_weights, hidden_biases, input_weights))
+
+    output_weights = _row(0, "v, row 0 of weights")
+    hidden_biases = _row(1, "u, row 1 of weights")
+    input_weights = _row(2, "w, row 2 of weights")
 
     @property
     def hidden_count(self) -> int:
-        return int(self.output_weights.shape[0])
+        return int(self.weights.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParamGradient:
-    """Gradient of some scalar with respect to (v, u, w), in that order."""
+    """Gradient of some scalar with respect to (v, u, w): rows of one (3, H) array."""
 
-    d_output_weights: np.ndarray
-    d_hidden_biases: np.ndarray
-    d_input_weights: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        _lock_fields(self, "gradient components must share one length")
+    def __init__(self, d_output_weights, d_hidden_biases, d_input_weights):
+        _lock_weights(self, (d_output_weights, d_hidden_biases, d_input_weights))
+
+    d_output_weights = _row(0, "d/dv, row 0 of weights")
+    d_hidden_biases = _row(1, "d/du, row 1 of weights")
+    d_input_weights = _row(2, "d/dw, row 2 of weights")
 
 
 def _check_order(order: int, top: int) -> None:
@@ -148,10 +156,10 @@ class NetworkJet:
 
     The adjoint takes a cotangent on the outputs y_k with k in
     cotangent_orders, one column per order, back onto n and then onto
-    (v, u, w).  Its table is the selected rows of linear, transposed once at
-    construction.  Scratch buffers are reused between calls, so the arrays
-    that forward and pull_to_network return are overwritten by the next
-    call; pull_to_params needs a preceding forward with need_grad=True.
+    theta = (v, u, w).  Its table is the selected rows of linear, transposed
+    once at construction.  Scratch buffers are reused between calls, so the
+    arrays that forward and pull_to_network return are overwritten by the
+    next call; pull_to_params needs a preceding forward with need_grad=True.
     """
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
@@ -210,13 +218,13 @@ class NetworkJet:
         self._sum_s = np.empty((2, hidden))
         self._sum_tx = np.empty((2, hidden))
 
-    def forward(self, v: np.ndarray, u: np.ndarray, w: np.ndarray,
-                need_grad: bool = False) -> np.ndarray:
-        """Fill and return the (rows, 4, 1) buffer y for raw float64 weight vectors."""
+    def forward(self, theta: np.ndarray, need_grad: bool = False) -> np.ndarray:
+        """Fill and return the (rows, 4, 1) buffer y for a raw float64 (3, H) theta."""
         # hot path: out arguments are positional, since training runs this
         # once per iteration
         mul = np.multiply
-        self._ensure_scratch(v.shape[0])
+        v, u, w = theta
+        self._ensure_scratch(theta.shape[1])
         z = self._z
         mul(self._xs_col, w, z)
         np.add(z, u, z)
@@ -241,8 +249,8 @@ class NetworkJet:
         np.copyto(k_rows, self._kt_rows)
         return k_rows
 
-    def pull_to_params(self, v: np.ndarray):
-        """Map the cotangent k on n onto fresh gradients (d_v, d_u, d_w).
+    def pull_to_params(self, theta: np.ndarray) -> np.ndarray:
+        """Map the cotangent k on n onto a fresh (3, H) gradient, rows d_v, d_u, d_w.
 
         For z = w x + u: d/dv = sum_l w^l s_l, d/du = v sum_l w^l t_l and
         d/dw = v sum_l (l w^(l-1) s_l + w^l x_l), where s_l = k_l . sigma^(l),
@@ -263,24 +271,25 @@ class NetworkJet:
         mul(self._tx_rows, self._wpow, self._prod_tx)
         add.reduce(self._prod_tx, 1, None, sum_tx)
 
-        d_v = sum_s[0].copy()
-        d_u = mul(sum_tx[0], v)
-        d_w = add(sum_s[1], sum_tx[1])
+        v = theta[0]
+        grad = np.empty(theta.shape)
+        d_v, d_u, d_w = grad
+        np.copyto(d_v, sum_s[0])
+        mul(sum_tx[0], v, d_u)
+        add(sum_s[1], sum_tx[1], d_w)
         mul(d_w, v, d_w)
-        return d_v, d_u, d_w
+        return grad
 
     def values(self, params: NetworkParams) -> np.ndarray:
         """y_0..y_3 at every abscissa, as a fresh (rows, 4) array."""
-        y = self.forward(params.output_weights, params.hidden_biases, params.input_weights)
-        return y[:, :, 0].copy()
+        return self.forward(params.weights)[:, :, 0].copy()
 
     def gradient(self, params: NetworkParams) -> ParamGradient:
         """Gradient of the selected outputs y_k, summed over rows and orders."""
-        v = params.output_weights
-        self.forward(v, params.hidden_biases, params.input_weights, need_grad=True)
+        self.forward(params.weights, need_grad=True)
         self.cotangent.fill(1.0)
         self.pull_to_network()
-        return ParamGradient(*self.pull_to_params(v))
+        return ParamGradient(*self.pull_to_params(params.weights))
 
 
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:

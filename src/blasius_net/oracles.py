@@ -48,10 +48,9 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeriesCoefficients:
-    """Integer wall-series coefficients, optionally tagged with the sigma they serve."""
+    """Integer wall-series coefficients A_0..A_k_max."""
 
     a: tuple[int, ...]
-    sigma: float | None = None
 
 
 def series_coefficients(k_max: int) -> SeriesCoefficients:

@@ -8,8 +8,10 @@ weight is forced to zero there.
 
 LossEvaluator builds the trial jet (trial.trial_jet) of the grid once and
 returns loss and exact parameter gradient in one fused pass.  Training hits
-this path tens of thousands of times, so it works on raw weight vectors; the
-module-level loss / loss_gradient wrappers take NetworkParams.
+this path tens of thousands of times, so it works on the raw (3, H) weight
+array theta (rows v, u, w, the layout of NetworkParams.weights) and returns
+the gradient in that layout; the module-level loss / loss_gradient wrappers
+take NetworkParams.
 """
 
 from __future__ import annotations
@@ -26,18 +28,11 @@ __all__ = [
     "CollocationGrid",
     "LossReport",
     "LossEvaluator",
-    "blasius_residual",
-    "residual_at",
     "loss",
     "loss_gradient",
 ]
 
 DEFAULT_PENALTY_WEIGHT = 10.0
-
-
-def blasius_residual(value: float, second: float, third: float) -> float:
-    """Residual of the ODE given y, y'' and y''' at one point."""
-    return third + 0.5 * value * second
 
 
 @dataclass(frozen=True)
@@ -132,26 +127,24 @@ class LossEvaluator:
             # the end row's cotangent sits on y' = F' N + F N'
             self._f1_end, self._f0_end = jet.linear[m, 1, :2].tolist()
 
-    def evaluate(self, v: np.ndarray, u: np.ndarray, w: np.ndarray, need_grad: bool = True):
-        """Return (total, residuals, penalty_term, d_v, d_u, d_w).
+    def evaluate(self, theta: np.ndarray, need_grad: bool = True):
+        """Return (total, residuals, penalty_term, grad) for the raw (3, H) weights theta.
 
-        The gradient triple is None when need_grad is false.  Inputs are raw
-        weight vectors of one shared length; every returned array is fresh.
+        grad is the (3, H) gradient, rows d_v, d_u, d_w, or None when
+        need_grad is false; every returned array is fresh.
 
         Overflow is deliberately left unguarded: a diverging parameter set
         yields a non-finite total, which is the caller's divergence signal,
         so numpy warnings are suppressed for the evaluation.
         """
-        v = np.asarray(v, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        w = np.asarray(w, dtype=np.float64)
+        theta = np.asarray(theta, dtype=np.float64)
         with np.errstate(all="ignore"):
             # hot path: out arguments are positional, since this runs once
             # per training iteration
             mul = np.multiply
             m = self.point_count
             jet = self._jet
-            y = jet.forward(v, u, w, need_grad)
+            y = jet.forward(theta, need_grad)
             r = self._r
             mul(self._y0, 0.5, r)
             mul(r, self._y2, r)
@@ -167,7 +160,7 @@ class LossEvaluator:
             total = _ordered_square_sum(r[:m]) + penalty
 
             if not need_grad:
-                return total, r[:m].copy(), penalty, None, None, None
+                return total, r[:m].copy(), penalty, None
 
             mul(r, self._y2, self._c_y0)
             mul(r, self._y0, self._c_y2)
@@ -177,24 +170,14 @@ class LossEvaluator:
                 cp = 2.0 * self.penalty_weight * slope_err
                 k_rows[0, m] = cp * self._f1_end
                 k_rows[1, m] = cp * self._f0_end
-            d_v, d_u, d_w = jet.pull_to_params(v)
-            return total, r[:m].copy(), penalty, d_v, d_u, d_w
+            return total, r[:m].copy(), penalty, jet.pull_to_params(theta)
 
     def report(self, params: NetworkParams) -> LossReport:
-        total, residuals, penalty, _, _, _ = self.evaluate(
-            params.output_weights, params.hidden_biases, params.input_weights, need_grad=False)
+        total, residuals, penalty, _ = self.evaluate(params.weights, need_grad=False)
         return LossReport(total=total, residuals=residuals, penalty_term=penalty)
 
     def gradient(self, params: NetworkParams) -> ParamGradient:
-        _, _, _, d_v, d_u, d_w = self.evaluate(
-            params.output_weights, params.hidden_biases, params.input_weights, need_grad=True)
-        return ParamGradient(d_v, d_u, d_w)
-
-
-def residual_at(spec: TrialSpec, params: NetworkParams, x: float) -> float:
-    """ODE residual of the trial solution at one point."""
-    y = trial_jet(spec, [x]).values(params)[0]
-    return blasius_residual(float(y[0]), float(y[2]), float(y[3]))
+        return ParamGradient(*self.evaluate(params.weights)[3])
 
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,

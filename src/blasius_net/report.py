@@ -71,11 +71,10 @@ def compare(profile: SolutionProfile, table: ReferenceTable,
     missing = []
     indices = []
     for eta in table.etas.tolist():
-        hits = np.nonzero(np.abs(profile.eta - eta) <= join_tol)[0]
-        if hits.size == 0:
+        try:
+            indices.append(profile.index_of(eta, join_tol))
+        except KeyError:
             missing.append(eta)
-        else:
-            indices.append(int(hits[0]))
     if missing:
         raise TableJoinError(table.table_id, missing)
     rows = []

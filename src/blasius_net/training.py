@@ -3,6 +3,11 @@
 Initial weights come from a hand-rolled xorshift64* stream so that a given
 seed produces bit-identical parameters on every platform; nothing else in a
 run is stochastic, so whole training runs are reproducible byte for byte.
+
+train carries the weights as one (3, H) array theta with rows v, u, w (the
+layout of NetworkParams.weights), with one velocity of the same shape and
+one (3, 1) column of per-group learning rates, so the momentum step is three
+whole-array operations.
 """
 
 from __future__ import annotations
@@ -85,6 +90,13 @@ class XorShift64Star:
         return low + (high - low) * unit
 
 
+def _draw_params(rng: XorShift64Star, hidden_count: int, scale: float) -> NetworkParams:
+    """3 * hidden_count uniforms in [-scale, scale) from rng, in the order v, then u, then w."""
+    draws = [rng.uniform(-scale, scale) for _ in range(3 * hidden_count)]
+    h = hidden_count
+    return NetworkParams(draws[:h], draws[h:2 * h], draws[2 * h:])
+
+
 def init_params(seed: int, hidden_count: int, scale: float) -> NetworkParams:
     """Uniform [-scale, scale) start, drawn in the order v, then u, then w."""
     if hidden_count < 1:
@@ -92,10 +104,7 @@ def init_params(seed: int, hidden_count: int, scale: float) -> NetworkParams:
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError("scale must be finite and positive")
-    rng = XorShift64Star(seed)
-    draws = [rng.uniform(-scale, scale) for _ in range(3 * hidden_count)]
-    h = hidden_count
-    return NetworkParams(draws[:h], draws[h:2 * h], draws[2 * h:])
+    return _draw_params(XorShift64Star(seed), hidden_count, scale)
 
 
 @dataclass(frozen=True)
@@ -154,42 +163,29 @@ def train(cfg: TrainingConfig) -> TrainingRun:
     Deterministic: the same config always produces the same run, bit for bit.
     """
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
-    start = init_params(cfg.seed, cfg.hidden_count, cfg.init_scale)
-    v = start.output_weights.copy()
-    u = start.hidden_biases.copy()
-    w = start.input_weights.copy()
+    # theta and velocity are loop-owned (3, H) arrays, rows v, u, w
+    theta = init_params(cfg.seed, cfg.hidden_count, cfg.init_scale).weights.copy()
+    velocity = np.zeros_like(theta)
+    rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
 
-    mu = MOMENTUM_COEFF
-    vel_v = np.zeros_like(v)
-    vel_u = np.zeros_like(u)
-    vel_w = np.zeros_like(w)
-    lr_v, lr_u, lr_w = cfg.lr_v, cfg.lr_u, cfg.lr_w
-
-    total, _, _, g_v, g_u, g_w = evaluator.evaluate(v, u, w)
+    total, _, _, grad = evaluator.evaluate(theta)
     if not math.isfinite(total):
         raise TrainingDivergedError(0)
     history = [total]
     used = 0
     while used < cfg.max_iterations and total > cfg.loss_target:
-        # momentum step, in place: vel <- mu vel + lr grad, p <- p - vel;
-        # v/u/w and the velocities are loop-owned copies
-        vel_v *= mu
-        vel_v += lr_v * g_v
-        vel_u *= mu
-        vel_u += lr_u * g_u
-        vel_w *= mu
-        vel_w += lr_w * g_w
-        v -= vel_v
-        u -= vel_u
-        w -= vel_w
+        # momentum step, in place; row g of grad takes its group's rate rates[g]
+        velocity *= MOMENTUM_COEFF
+        velocity += rates * grad
+        theta -= velocity
         used += 1
-        total, _, _, g_v, g_u, g_w = evaluator.evaluate(v, u, w)
+        total, _, _, grad = evaluator.evaluate(theta)
         if not math.isfinite(total):
             raise TrainingDivergedError(used)
         history.append(total)
 
-    # total was evaluated at the final v, u, w by the loop's last call
-    return TrainingRun(final_params=NetworkParams(v, u, w), final_loss=total,
+    # total was evaluated at the final theta by the loop's last call
+    return TrainingRun(final_params=NetworkParams(*theta), final_loss=total,
                        iterations_used=used, loss_history=history)
 
 

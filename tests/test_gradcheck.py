@@ -11,6 +11,25 @@ from blasius_net.gradcheck import (
     run_gradient_checks,
 )
 
+# [r.max_rel_error for r in run_gradient_checks(draws=3, seed=0)], repr-exact;
+# any rounding change in the audit's draws, jets, evaluator or differences moves one
+AUDIT_FINGERPRINT = [
+    1.147799414386947e-09,
+    5.997416780438978e-10,
+    3.5140658969892346e-10,
+    7.222779956072353e-09,
+    1.4687633007366736e-09,
+    4.880877920727391e-10,
+    3.8245319595313915e-10,
+    1.0434788100333371e-09,
+    9.378680298428815e-10,
+    8.570663447781699e-09,
+    2.011025092172656e-09,
+    9.76533255801404e-10,
+    3.498705907628483e-10,
+    3.1814519938809294e-10,
+]
+
 
 def test_fd_param_gradient_matches_analytic_forward():
     params = NetworkParams([0.4, -0.9], [0.2, 0.1], [1.1, -0.3])
@@ -50,3 +69,8 @@ def test_run_gradient_checks_is_deterministic():
     first = run_gradient_checks(draws=5, seed=3)
     second = run_gradient_checks(draws=5, seed=3)
     assert [r.max_rel_error for r in first] == [r.max_rel_error for r in second]
+
+
+def test_run_gradient_checks_is_bit_exact():
+    results = run_gradient_checks(draws=3, seed=0)
+    assert [r.max_rel_error for r in results] == AUDIT_FINGERPRINT

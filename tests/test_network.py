@@ -155,6 +155,11 @@ def test_param_gradient_shapes_and_lock():
         assert part.shape == (3,)
     with pytest.raises(ValueError):
         grad.d_output_weights[0] = 99.0
+    # one (3, H) array, rows d_v, d_u, d_w, locked as a whole
+    assert grad.weights.shape == (3, 3)
+    assert np.array_equal(grad.weights, np.array(gradient_triple(grad)))
+    with pytest.raises(ValueError):
+        grad.weights[2, 1] = 99.0
 
 
 def test_network_params_validation():
@@ -175,6 +180,16 @@ def test_network_params_are_immutable():
     assert params.hidden_count == 1
     with pytest.raises(ValueError):
         params.output_weights[0] = 5.0
+    # one (3, H) array, rows v, u, w; the named vectors are views of its rows
+    wide = NetworkParams([1.0, 2.0], [0.0, 0.1], [2.0, -2.0])
+    assert wide.weights.shape == (3, 2)
+    assert wide.weights.tolist() == [[1.0, 2.0], [0.0, 0.1], [2.0, -2.0]]
+    for row, named in zip(wide.weights, (wide.output_weights, wide.hidden_biases,
+                                          wide.input_weights)):
+        assert np.array_equal(row, named)
+        assert np.shares_memory(row, named)
+    with pytest.raises(ValueError):
+        wide.weights[1, 0] = 5.0
     source = np.array([1.0, 2.0])
     copied = NetworkParams(source, source.copy(), source.copy())
     source[0] = 77.0  # later mutation of the source must not leak in

@@ -11,16 +11,19 @@ from blasius_net import (
     NetworkParams,
     TrialMode,
     TrialSpec,
-    blasius_residual,
     loss,
     loss_gradient,
-    residual_at,
     rk4_profile,
-    trial_derivative,
-    trial_value,
 )
 
-from helpers import SIGMA_REF, fd_param_triple, gradient_triple, max_normalized_diff, random_params
+from helpers import (
+    SIGMA_REF,
+    fd_param_triple,
+    gradient_triple,
+    max_normalized_diff,
+    random_params,
+    ref_trial_derivative,
+)
 
 PAPER = TrialSpec(TrialMode.PAPER, 6.0)
 PENALTY = TrialSpec(TrialMode.PENALTY, 6.0)
@@ -28,13 +31,6 @@ PENALTY = TrialSpec(TrialMode.PENALTY, 6.0)
 
 def zero_net(hidden=3):
     return NetworkParams(np.zeros(hidden), np.ones(hidden), np.ones(hidden))
-
-
-def test_residual_closed_values():
-    assert blasius_residual(0.0, 0.0, 0.0) == 0.0
-    # paper trial with a silent network: y = x**3 + x**2
-    assert blasius_residual(0.0, 2.0, 6.0) == 6.0  # at x = 0
-    assert blasius_residual(2.0, 8.0, 6.0) == 14.0  # at x = 1
 
 
 def test_residual_vanishes_on_true_solution():
@@ -48,18 +44,10 @@ def test_residual_vanishes_on_true_solution():
     assert np.max(np.abs(residual)) <= 1e-3
 
 
-def test_residual_at_combines_trial_pieces():
-    rng = np.random.default_rng(29)
-    for spec in (PAPER, PENALTY):
-        for _ in range(20):
-            params = random_params(rng, 4)
-            x = rng.uniform(0.0, 6.0)
-            expected = blasius_residual(
-                trial_value(spec, params, x),
-                trial_derivative(spec, params, x, 2),
-                trial_derivative(spec, params, x, 3),
-            )
-            assert residual_at(spec, params, x) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+def ref_residual(spec, params, x):
+    """y''' + y y'' / 2 at x from the scalar Leibniz reference."""
+    y, y2, y3 = (ref_trial_derivative(spec, params, x, order) for order in (0, 2, 3))
+    return y3 + 0.5 * y * y2
 
 
 def test_grid_construction_and_validation():
@@ -89,11 +77,12 @@ def test_grid_points_are_locked():
 
 
 def test_loss_paper_silent_network_origin_grid():
-    # y = x**3 + x**2 gives residual 6 at the origin, so the loss is 36
-    report = loss(PAPER, zero_net(), CollocationGrid(np.array([0.0])))
-    assert report.total == 36.0
+    # y = x**3 + x**2: at x = 0, y''' + y y''/2 = 6 + 0 * 2 / 2 = 6; at x = 1,
+    # 6 + 2 * 8 / 2 = 14; so the loss is 36 + 196
+    report = loss(PAPER, zero_net(), CollocationGrid(np.array([0.0, 1.0])))
+    assert report.total == 232.0
     assert report.penalty_term == 0.0
-    assert np.array_equal(report.residuals, [6.0])
+    assert np.array_equal(report.residuals, [6.0, 14.0])
 
 
 def test_loss_penalty_silent_network():
@@ -113,7 +102,7 @@ def test_penalty_weight_zero_disables_penalty():
     params = random_params(rng, 3)
     report = loss(PENALTY, params, grid, penalty_weight=0.0)
     assert report.penalty_term == 0.0
-    brute = math.fsum(residual_at(PENALTY, params, x) ** 2 for x in grid.points)
+    brute = math.fsum(ref_residual(PENALTY, params, x) ** 2 for x in grid.points)
     assert report.total == pytest.approx(brute, rel=1e-12)
 
 
@@ -132,10 +121,10 @@ def test_loss_matches_bruteforce_recomputation():
         for _ in range(10):
             params = random_params(rng, 5)
             report = loss(spec, params, grid, penalty_weight=weight)
-            residuals = [residual_at(spec, params, x) for x in grid.points]
+            residuals = [ref_residual(spec, params, x) for x in grid.points]
             expected = math.fsum(r * r for r in residuals)
             if spec.mode is TrialMode.PENALTY:
-                slope_err = trial_derivative(spec, params, spec.domain_end, 1) - 1.0
+                slope_err = ref_trial_derivative(spec, params, spec.domain_end, 1) - 1.0
                 expected += weight * slope_err * slope_err
             assert report.total == pytest.approx(expected, rel=1e-12)
             assert np.allclose(report.residuals, residuals, rtol=1e-12, atol=1e-12)

@@ -166,11 +166,11 @@ def test_train_replays_momentum_update():
     cfg = TrainingConfig(max_iterations=3)
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
     start = init_params(cfg.seed, cfg.hidden_count, cfg.init_scale)
-    params = [start.output_weights, start.hidden_biases, start.input_weights]
+    params = list(start.weights)
     rates = (cfg.lr_v, cfg.lr_u, cfg.lr_w)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
     for _ in range(3):
-        grads = evaluator.evaluate(*params)[3:]
+        grads = evaluator.evaluate(np.array(params))[3]
         velocity = [MOMENTUM_COEFF * vel + lr * g for vel, lr, g in zip(velocity, rates, grads)]
         params = [p - vel for p, vel in zip(params, velocity)]
     run = train(cfg)
