@@ -78,7 +78,7 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
         for _ in range(draws):
             params = _draw_params(rng, hidden, 1.0)
             gradient, objective = probe(rng)
-            analytic = gradient(params).weights
+            analytic = gradient(params)
             numeric = fd_param_gradient(objective, params, step)
             worst = max(worst, gradient_discrepancy(analytic, numeric))
         results.append(GradCheckResult(name=name, draws=draws, max_rel_error=worst,

@@ -18,8 +18,9 @@ derivative never leaves this module: it only feeds the parameter gradients of
 the third input derivative.
 
 The parameters travel as one (3, H) float64 array theta with rows v, u, w:
-NetworkParams and ParamGradient store it as ``weights``, and NetworkJet reads
-theta and returns gradients in the same layout.
+NetworkParams stores it, locked, as ``weights``.  NetworkJet reads theta, and
+every gradient of some scalar with respect to (v, u, w) is a plain, fresh
+(3, H) ndarray in the same layout, rows d_v, d_u, d_w.
 
 NetworkJet is the one implementation of the rest.  It evaluates n_0..n_3 at
 fixed abscissae, maps them per row through a fixed linear map (a trial
@@ -36,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "NetworkParams",
-    "ParamGradient",
     "NetworkJet",
     "input_derivative",
     "param_gradient",
@@ -45,40 +45,36 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 3
 
 
-def _lock_weights(obj, rows) -> None:
-    """Store the three vectors as obj.weights: one locked float64 (3, H) copy."""
-    try:
-        weights = np.array(rows, dtype=np.float64)
-    except ValueError as exc:  # ragged rows, or an entry that is no number
-        raise ValueError(f"weight groups must be numeric vectors of one length: {exc}") from None
-    if weights.ndim != 2:
-        raise ValueError("weight groups must be one-dimensional vectors")
-    if weights.shape[1] == 0:
-        raise ValueError("weight groups must not be empty")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights contain non-finite entries")
-    weights.flags.writeable = False
-    object.__setattr__(obj, "weights", weights)
-
-
 def _row(index: int, doc: str) -> property:
     return property(lambda self: self.weights[index], doc=doc)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class NetworkParams:
     """Weights of the network: output weights v, hidden biases u, input weights w.
 
     weights holds them as rows 0, 1, 2 of one (3, H) array (H = hidden-unit
     count); the named attributes are read-only views of those rows.  The
     vectors are copied and locked on construction; build a new instance to
-    change anything.
+    change anything.  Instances compare and hash by identity: an elementwise
+    array comparison has no single truth value.
     """
 
     weights: np.ndarray
 
     def __init__(self, output_weights, hidden_biases, input_weights):
-        _lock_weights(self, (output_weights, hidden_biases, input_weights))
+        try:
+            weights = np.array((output_weights, hidden_biases, input_weights), dtype=np.float64)
+        except ValueError as exc:  # ragged rows, or an entry that is no number
+            raise ValueError(f"weight groups must be numeric vectors of one length: {exc}") from None
+        if weights.ndim != 2:
+            raise ValueError("weight groups must be one-dimensional vectors")
+        if weights.shape[1] == 0:
+            raise ValueError("weight groups must not be empty")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights contain non-finite entries")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     output_weights = _row(0, "v, row 0 of weights")
     hidden_biases = _row(1, "u, row 1 of weights")
@@ -87,20 +83,6 @@ class NetworkParams:
     @property
     def hidden_count(self) -> int:
         return int(self.weights.shape[1])
-
-
-@dataclass(frozen=True, init=False)
-class ParamGradient:
-    """Gradient of some scalar with respect to (v, u, w): rows of one (3, H) array."""
-
-    weights: np.ndarray
-
-    def __init__(self, d_output_weights, d_hidden_biases, d_input_weights):
-        _lock_weights(self, (d_output_weights, d_hidden_biases, d_input_weights))
-
-    d_output_weights = _row(0, "d/dv, row 0 of weights")
-    d_hidden_biases = _row(1, "d/du, row 1 of weights")
-    d_input_weights = _row(2, "d/dw, row 2 of weights")
 
 
 def _check_order(order: int, top: int) -> None:
@@ -284,12 +266,12 @@ class NetworkJet:
         """y_0..y_3 at every abscissa, as a fresh (rows, 4) array."""
         return self.forward(params.weights)[:, :, 0].copy()
 
-    def gradient(self, params: NetworkParams) -> ParamGradient:
-        """Gradient of the selected outputs y_k, summed over rows and orders."""
+    def gradient(self, params: NetworkParams) -> np.ndarray:
+        """Fresh (3, H) gradient of the selected outputs y_k, summed over rows and orders."""
         self.forward(params.weights, need_grad=True)
         self.cotangent.fill(1.0)
         self.pull_to_network()
-        return ParamGradient(*self.pull_to_params(params.weights))
+        return self.pull_to_params(params.weights)
 
 
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:
@@ -298,8 +280,8 @@ def input_derivative(params: NetworkParams, x: float, order: int) -> float:
     return float(NetworkJet.bare([x]).values(params)[0, order])
 
 
-def param_gradient(params: NetworkParams, x: float, order: int) -> ParamGradient:
-    """Gradient of the k-th input derivative with respect to every parameter.
+def param_gradient(params: NetworkParams, x: float, order: int) -> np.ndarray:
+    """(3, H) gradient of the k-th input derivative with respect to (v, u, w).
 
     For z_i = w_i x + u_i:
 

@@ -9,9 +9,9 @@ weight is forced to zero there.
 LossEvaluator builds the trial jet (trial.trial_jet) of the grid once and
 returns loss and exact parameter gradient in one fused pass.  Training hits
 this path tens of thousands of times, so it works on the raw (3, H) weight
-array theta (rows v, u, w, the layout of NetworkParams.weights) and returns
-the gradient in that layout; the module-level loss / loss_gradient wrappers
-take NetworkParams.
+array theta (rows v, u, w, the layout of NetworkParams.weights).  Every
+gradient, here and in the module-level loss_gradient wrapper, is a fresh
+(3, H) ndarray in that layout, rows d_v, d_u, d_w.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams, ParamGradient
+from .network import NetworkParams
 from .trial import TrialSpec, TrialMode, trial_jet
 
 __all__ = [
@@ -176,8 +176,8 @@ class LossEvaluator:
         total, residuals, penalty, _ = self.evaluate(params.weights, need_grad=False)
         return LossReport(total=total, residuals=residuals, penalty_term=penalty)
 
-    def gradient(self, params: NetworkParams) -> ParamGradient:
-        return ParamGradient(*self.evaluate(params.weights)[3])
+    def gradient(self, params: NetworkParams) -> np.ndarray:
+        return self.evaluate(params.weights)[3]
 
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
@@ -187,6 +187,6 @@ def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
 
 
 def loss_gradient(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
-                  penalty_weight: float = DEFAULT_PENALTY_WEIGHT) -> ParamGradient:
-    """Exact gradient of the collocation loss with respect to every parameter."""
+                  penalty_weight: float = DEFAULT_PENALTY_WEIGHT) -> np.ndarray:
+    """Exact (3, H) gradient of the collocation loss with respect to (v, u, w)."""
     return LossEvaluator(spec, grid, penalty_weight).gradient(params)

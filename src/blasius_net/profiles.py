@@ -2,13 +2,12 @@
 
 The CSV format is part of the tool's contract: header ``eta,f,fp,fpp``, one
 row per abscissa, every number printed with 17 significant digits so a
-re-parsed file reproduces the in-memory profile exactly.  Comment lines start
-with ``#`` and are ignored on read.
+re-parsed file reproduces the in-memory profile exactly.  Optional
+``# key = value`` comment lines sit above the header.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,10 +15,10 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profile_csv",
-           "read_profile_csv"]
+__all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profile_csv"]
 
 CSV_HEADER = "eta,f,fp,fpp"
+CSV_ROW = "%.17g,%.17g,%.17g,%.17g"  # format_float on each column, one % per row
 
 
 def format_float(value: float) -> str:
@@ -68,8 +67,7 @@ class SolutionProfile:
         return int(self.eta.size)
 
     def rows(self) -> Iterator[tuple[float, float, float, float]]:
-        for i in range(len(self)):
-            yield (float(self.eta[i]), float(self.f[i]), float(self.fp[i]), float(self.fpp[i]))
+        return zip(self.eta.tolist(), self.f.tolist(), self.fp.tolist(), self.fpp.tolist())
 
     def index_of(self, eta: float, tol: float = 1e-12) -> int:
         """Index of the row whose abscissa matches eta within tol; raise if absent."""
@@ -93,8 +91,7 @@ def write_profile_csv(profile: SolutionProfile, destination, comments: dict | No
     for key, value in (comments or {}).items():
         lines.append(f"# {key} = {value}")
     lines.append(CSV_HEADER)
-    for eta, f, fp, fpp in profile.rows():
-        lines.append(",".join(format_float(x) for x in (eta, f, fp, fpp)))
+    lines.extend(CSV_ROW % row for row in profile.rows())
     text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, Path)):
         atomic_write_text(destination, text)
@@ -108,32 +105,3 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def read_profile_csv(source) -> SolutionProfile:
-    """Parse a profile CSV written by write_profile_csv (comments skipped)."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    rows = []
-    header_seen = False
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != CSV_HEADER:
-                raise ValueError(f"line {line_no}: expected header '{CSV_HEADER}', got '{line}'")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {line_no}: expected 4 columns, got {len(parts)}")
-        rows.append([float(p) for p in parts])
-    if not header_seen:
-        raise ValueError("missing CSV header")
-    if not rows:
-        raise ValueError("profile CSV contains no data rows")
-    data = np.array(rows)
-    return SolutionProfile(eta=data[:, 0], f=data[:, 1], fp=data[:, 2], fpp=data[:, 3])

@@ -13,7 +13,8 @@ Derivatives of y follow from the Leibniz rule on F * N; A and F derivatives
 are hand-coded closed forms.  trial_jet turns both into the per-row linear
 map y_k = A^(k) + sum_j C(k, j) F^(j) N^(k-j) of a NetworkJet, which every
 trial-solution path evaluates; the scalar functions below are one-row
-wrappers around it.
+wrappers around it, and trial_param_gradient returns a plain (3, H) array,
+rows d_v, d_u, d_w.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkJet, NetworkParams, ParamGradient
+from .network import NetworkJet, NetworkParams
 
 __all__ = [
     "TrialMode",
@@ -120,8 +121,8 @@ def trial_derivative(spec: TrialSpec, params: NetworkParams, x: float, order: in
     return float(trial_jet(spec, [x]).values(params)[0, order])
 
 
-def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> ParamGradient:
-    """Gradient of the k-th trial derivative (k = 0 means the value) w.r.t. all parameters.
+def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> np.ndarray:
+    """(3, H) gradient of the k-th trial derivative (k = 0 means the value) w.r.t. (v, u, w).
 
     The offset A drops out; each Leibniz term contributes F^(j) times the
     parameter gradient of the matching network derivative.

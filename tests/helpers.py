@@ -5,14 +5,18 @@ gradcheck module so that analytic derivatives get checked against a second,
 separately written numerical scheme.  Likewise the ref_* functions are
 scalar, per-point re-derivations of the network and trial-solution
 derivatives (per-unit sums and an explicit Leibniz loop), kept as the
-reference for the package's batched jet.
+reference for the package's batched jet.  read_profile_csv parses the
+profile CSVs that the package writes; no command reads them back.
 """
 
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
-from blasius_net import NetworkParams
+from blasius_net.network import NetworkParams
+from blasius_net.profiles import CSV_HEADER, SolutionProfile
 from blasius_net.trial import envelope_terms, offset_terms
 
 # classical tabulated wall curvature f''(0) of the Blasius profile
@@ -71,11 +75,6 @@ def max_normalized_diff(analytic_triple, numeric_triple, floor=1e-6):
     return worst
 
 
-def gradient_triple(grad):
-    """ParamGradient as a (v, u, w) tuple of arrays."""
-    return (grad.d_output_weights, grad.d_hidden_biases, grad.d_input_weights)
-
-
 def ref_sigmoid(z, order):
     """k-th derivative of the logistic sigmoid at the scalar z, k in 0..4."""
     s = 0.5 * (1.0 + math.tanh(0.5 * z))
@@ -126,3 +125,32 @@ def ref_trial_param_gradient(spec, params, x, order):
         for acc, part in zip(total, ref_param_gradient(params, x, order - j)):
             acc += coeff * float(f[j]) * part
     return tuple(total)
+
+
+def read_profile_csv(source) -> SolutionProfile:
+    """Parse a profile CSV written by write_profile_csv (comments skipped)."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text()
+    else:
+        text = source.read()
+    rows = []
+    header_seen = False
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ValueError(f"line {line_no}: expected header '{CSV_HEADER}', got '{line}'")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {line_no}: expected 4 columns, got {len(parts)}")
+        rows.append([float(p) for p in parts])
+    if not header_seen:
+        raise ValueError("missing CSV header")
+    if not rows:
+        raise ValueError("profile CSV contains no data rows")
+    data = np.array(rows)
+    return SolutionProfile(eta=data[:, 0], f=data[:, 1], fp=data[:, 2], fpp=data[:, 3])

@@ -11,23 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from blasius_net import (
-    TrainingConfig,
-    TrialMode,
-    TrialSpec,
-    evaluate_profile,
-    load_table,
-    relative_error,
-    rk4_profile,
-    run_gradient_checks,
-    seed_sweep,
-    series_coefficients,
-    series_eval,
-    shoot,
-    trial_derivative,
-    trial_value,
-)
 from blasius_net.cli import run_cli
+from blasius_net.gradcheck import run_gradient_checks
+from blasius_net.oracles import rk4_profile, series_coefficients, series_eval, shoot
+from blasius_net.report import evaluate_profile, relative_error
+from blasius_net.tables import load_table
+from blasius_net.training import TrainingConfig, seed_sweep
+from blasius_net.trial import TrialMode, TrialSpec, trial_derivative, trial_value
 
 from helpers import SIGMA_REF, random_params
 

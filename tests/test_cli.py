@@ -5,17 +5,14 @@ import io
 import numpy as np
 import pytest
 
-from blasius_net import (
-    format_float,
-    load_model,
-    load_table,
-    read_profile_csv,
-    rk4_profile,
-    series_eval,
-    shoot,
-)
 from blasius_net import cli, training
 from blasius_net.cli import run_cli
+from blasius_net.model_io import load_model
+from blasius_net.oracles import rk4_profile, series_eval, shoot
+from blasius_net.profiles import format_float
+from blasius_net.tables import load_table
+
+from helpers import read_profile_csv
 
 QUICK_SOLVE = ["solve", "--hidden", "3", "--points", "6", "--iterations", "200", "--seed", "0"]
 

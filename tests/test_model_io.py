@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from blasius_net import (
+from blasius_net.model_io import (
     MODEL_HEADER,
     ModelFormatError,
     ModelVersionError,
-    TrialMode,
-    TrialSpec,
-    init_params,
     load_model,
     save_model,
 )
+from blasius_net.training import init_params
+from blasius_net.trial import TrialMode, TrialSpec
 
 
 @pytest.fixture

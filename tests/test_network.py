@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from blasius_net import NetworkParams, input_derivative, param_gradient
-from blasius_net.network import MAX_DERIVATIVE_ORDER, _sigmoid_stack
+from blasius_net.network import (
+    MAX_DERIVATIVE_ORDER,
+    NetworkParams,
+    _sigmoid_stack,
+    input_derivative,
+    param_gradient,
+)
 
 from helpers import (
     central_diff,
     fd_param_triple,
-    gradient_triple,
     max_normalized_diff,
     random_params,
     ref_input_derivative,
@@ -130,7 +134,7 @@ def test_param_gradient_matches_finite_differences():
         for _ in range(15):
             params = random_params(rng, 4)
             x = rng.uniform(0.05, 5.95)
-            analytic = gradient_triple(param_gradient(params, x, order))
+            analytic = param_gradient(params, x, order)
             numeric = fd_param_triple(lambda p: input_derivative(p, x, order), params)
             assert max_normalized_diff(analytic, numeric) <= 1e-5
 
@@ -141,9 +145,9 @@ def test_param_gradient_finite_at_zero_input_weight():
     params = NetworkParams([0.8, -0.4], [0.1, -0.2], [0.0, 0.0])
     for order in range(MAX_DERIVATIVE_ORDER + 1):
         grad = param_gradient(params, 1.3, order)
-        for part in gradient_triple(grad):
+        for part in grad:
             assert np.all(np.isfinite(part))
-    analytic = gradient_triple(param_gradient(params, 1.3, 0))
+    analytic = param_gradient(params, 1.3, 0)
     numeric = fd_param_triple(lambda p: input_derivative(p, 1.3, 0), params)
     assert max_normalized_diff(analytic, numeric) <= 1e-5
 
@@ -151,15 +155,16 @@ def test_param_gradient_finite_at_zero_input_weight():
 def test_param_gradient_shapes_and_lock():
     params = NetworkParams([1.0, 2.0, 3.0], [0.0, 0.1, 0.2], [0.5, -0.5, 1.0])
     grad = param_gradient(params, 0.7, 1)
-    for part in gradient_triple(grad):
-        assert part.shape == (3,)
-    with pytest.raises(ValueError):
-        grad.d_output_weights[0] = 99.0
-    # one (3, H) array, rows d_v, d_u, d_w, locked as a whole
-    assert grad.weights.shape == (3, 3)
-    assert np.array_equal(grad.weights, np.array(gradient_triple(grad)))
-    with pytest.raises(ValueError):
-        grad.weights[2, 1] = 99.0
+    # one plain (3, H) float64 array, rows d_v, d_u, d_w
+    assert type(grad) is np.ndarray
+    assert grad.shape == (3, 3)
+    assert grad.dtype == np.float64
+    # not locked but fresh: no call shares memory with another call's result
+    again = param_gradient(params, 0.7, 1)
+    assert np.array_equal(grad, again)
+    assert not np.shares_memory(grad, again)
+    again[2, 1] = 99.0
+    assert grad[2, 1] != 99.0
 
 
 def test_network_params_validation():
@@ -194,3 +199,15 @@ def test_network_params_are_immutable():
     copied = NetworkParams(source, source.copy(), source.copy())
     source[0] = 77.0  # later mutation of the source must not leak in
     assert copied.output_weights[0] == 1.0
+
+
+def test_network_params_compare_by_identity():
+    # an elementwise array comparison has no single truth value, so == and
+    # hash fall back to identity instead of raising for H > 1
+    a = NetworkParams([1.0, 2.0, 3.0], [0.0, 0.1, 0.2], [0.5, -0.5, 1.0])
+    b = NetworkParams([1.0, 2.0, 3.0], [0.0, 0.1, 0.2], [0.5, -0.5, 1.0])
+    assert a == a
+    assert (a == b) is False
+    assert a != b
+    assert {a} == {a}
+    assert len({a, b, a}) == 2

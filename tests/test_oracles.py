@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blasius_net import (
+from blasius_net.oracles import (
     IntegrationError,
     SeriesNotConvergedError,
     rk4_profile,

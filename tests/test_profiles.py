@@ -5,8 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from blasius_net import SolutionProfile, format_float, read_profile_csv, write_profile_csv
-from blasius_net.profiles import CSV_HEADER
+from blasius_net.profiles import CSV_HEADER, SolutionProfile, format_float, write_profile_csv
+
+from helpers import read_profile_csv
 
 
 def small_profile():
@@ -71,6 +72,21 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     text = path.read_text()
     assert text.startswith("# sigma = 0.332\n" + CSV_HEADER + "\n")
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_csv_rows_match_per_value_format_float():
+    # signed zero, the smallest subnormal, a 17-digit integer and a repeating
+    # fraction, each in every column
+    special = [-0.0, 5e-324, 1.0 / 3.0, 1e17]
+    profile = SolutionProfile(eta=special, f=special[::-1], fp=special[1:] + special[:1],
+                              fpp=special[2:] + special[:2])
+    buffer = io.StringIO()
+    write_profile_csv(profile, buffer)
+    expected = [CSV_HEADER] + [",".join(format_float(x) for x in row) for row in
+                               zip(special, special[::-1], special[1:] + special[:1],
+                                   special[2:] + special[:2])]
+    assert buffer.getvalue() == "\n".join(expected) + "\n"
+    assert "-0," in buffer.getvalue() and "4.9406564584124654e-324" in buffer.getvalue()
 
 
 def test_csv_stream_round_trip():

@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from blasius_net import (
-    NetworkParams,
-    SolutionProfile,
-    TableJoinError,
-    TrialMode,
-    TrialSpec,
-    compare,
-    evaluate_profile,
-    load_table,
-    relative_error,
-    rk4_profile,
-    shoot,
-)
-from blasius_net.tables import ReferenceColumn, ReferenceTable
+from blasius_net.network import NetworkParams
+from blasius_net.oracles import rk4_profile, shoot
+from blasius_net.profiles import SolutionProfile
+from blasius_net.report import TableJoinError, compare, evaluate_profile, relative_error
+from blasius_net.tables import ReferenceColumn, ReferenceTable, load_table
+from blasius_net.trial import TrialMode, TrialSpec
 
 PAPER = TrialSpec(TrialMode.PAPER, 6.0)
 

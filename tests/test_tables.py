@@ -5,13 +5,14 @@ import shutil
 import numpy as np
 import pytest
 
-from blasius_net import (
+from blasius_net.report import relative_error
+from blasius_net.tables import (
+    FIXTURES_ENV_VAR,
     available_table_ids,
+    fixtures_dir,
     load_table,
     parse_printed_error,
-    relative_error,
 )
-from blasius_net.tables import FIXTURES_ENV_VAR, fixtures_dir
 
 EXPECTED_ROWS = {"T1": 12, "T2": 16, "T3": 16, "T4": 16, "T5": 28, "T6": 19, "T7": 19, "T8": 19}
 EXPECTED_QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",

@@ -5,16 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blasius_net import (
+from blasius_net.problem import CollocationGrid, LossEvaluator
+from blasius_net.training import (
     MOMENTUM_COEFF,
     AllRunsDivergedError,
-    CollocationGrid,
-    LossEvaluator,
     TrainingConfig,
     TrainingDivergedError,
     TrainingRun,
-    TrialMode,
-    TrialSpec,
     XorShift64Star,
     best_run,
     init_params,
@@ -22,6 +19,7 @@ from blasius_net import (
     seed_sweep,
     train,
 )
+from blasius_net.trial import TrialMode, TrialSpec
 
 MASK64 = (1 << 64) - 1
 
