@@ -17,16 +17,19 @@ _sigmoid_stack is the only place these formulas appear.  The fourth
 derivative never leaves this module: it only feeds the parameter gradients of
 the third input derivative.
 
-The parameters travel as one (3, H) float64 array theta with rows v, u, w:
-NetworkParams stores it, locked, as ``weights``.  NetworkJet reads theta, and
-every gradient of some scalar with respect to (v, u, w) is a plain, fresh
-(3, H) ndarray in the same layout, rows d_v, d_u, d_w.
+The parameters of one network travel as one (3, H) float64 array with rows
+v, u, w: NetworkParams stores it, locked, as ``weights``, and every gradient
+of some scalar with respect to (v, u, w) is a plain, fresh (3, H) ndarray in
+the same layout, rows d_v, d_u, d_w.
 
 NetworkJet is the one implementation of the rest.  It evaluates n_0..n_3 at
 fixed abscissae, maps them per row through a fixed linear map (a trial
 solution's Leibniz rule, or the identity for the bare network), and pulls
-cotangents on the mapped values back onto theta.  input_derivative and
-param_gradient are one-row wrappers around it, too slow for any hot loop.
+cotangents on the mapped values back onto the weights.  It works on a stack
+of S networks at once: theta is (S, 3, H), forward fills (S, rows, 4, 1) and
+pull_to_params returns (S, 3, H), each entry bit-identical to a stack of
+one.  Training stacks its seeds, the gradient audit its perturbed weights;
+values, gradient, input_derivative and param_gradient are stacks of one.
 """
 
 from __future__ import annotations
@@ -96,11 +99,12 @@ def _sigmoid_stack(z: np.ndarray, max_order: int, out=None):
     """[sigma, sigma', ..., sigma^(max_order)] elementwise on the array z, max_order in 0..4.
 
     out holds five arrays shaped like z (a (5,) + z.shape array or a sequence
-    of five views; allocated when None); entries 0..max_order are written
-    and out is returned.  The tanh form of sigma is overflow-free for any z.
+    of five views; allocated, after max_order is checked, when None); entries
+    0..max_order are written and out is returned.  The tanh form of sigma is
+    overflow-free for any z.
     """
-    _check_order(max_order, MAX_DERIVATIVE_ORDER + 1)
     if out is None:
+        _check_order(max_order, MAX_DERIVATIVE_ORDER + 1)
         out = np.empty((MAX_DERIVATIVE_ORDER + 2,) + z.shape)
     mul = np.multiply
     add = np.add
@@ -136,33 +140,33 @@ class NetworkJet:
     trial solution supplies offset and linear from the Leibniz rule; the
     bare network (NetworkJet.bare) has linear = I and offset = 0.
 
+    Every call takes a stack of S weight sets, a float64 (S, 3, H) theta,
+    and treats its entries independently: each matrix product sees one
+    entry's slice with the shape and strides of a stack of one, and every
+    sum runs in a fixed order, so an entry's results do not depend on S or
+    on its position in the stack.
+
     The adjoint takes a cotangent on the outputs y_k with k in
     cotangent_orders, one column per order, back onto n and then onto
-    theta = (v, u, w).  Its table is the selected rows of linear, transposed
-    once at construction.  Scratch buffers are reused between calls, so the
+    theta.  Its table is the selected rows of linear, transposed once at
+    construction.  Scratch buffers (y, cotangent, k and the rest) are
+    allocated for one (S, H) at a time and reused while it stays, so the
     arrays that forward and pull_to_network return are overwritten by the
     next call; pull_to_params needs a preceding forward with need_grad=True.
     """
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
         xs = np.array(xs, dtype=np.float64)
-        rows = xs.size
         self.xs = xs
         self.linear = np.array(linear, dtype=np.float64)
         self._xs_col = xs[:, None]
         self._xs_row = xs[None, :]
-        self._offset = np.array(offset, dtype=np.float64)[:, :, None]
-        self._adj = np.ascontiguousarray(self.linear[:, cotangent_orders, :].transpose(0, 2, 1))
-        self.y = np.empty((rows, 4, 1))
-        self.cotangent = np.empty((rows, len(cotangent_orders), 1))
-        self._kt = np.empty((rows, 4, 1))
-        self._kt_rows = self._kt[:, :, 0].T
-        self._k = np.zeros((2, 4, rows))
-        self._k_rows = self._k[0]
-        self._k_scaled = self._k[1]
-        self._k_lhs = self._k[0][:, None, :]
-        self._k_both = self._k.reshape(2, 4, 1, rows)
-        self._hidden = 0
+        # leading axes of one: a stack of one then meets no broadcasting
+        self._linear_b = self.linear[None]
+        self._offset = np.array(offset, dtype=np.float64)[None, :, :, None]
+        self._adj = np.ascontiguousarray(self.linear[None, :, cotangent_orders, :].transpose(0, 1, 3, 2))
+        self._orders = len(cotangent_orders)
+        self._shape = None
 
     @classmethod
     def bare(cls, xs, cotangent_orders=(0,)) -> "NetworkJet":
@@ -171,107 +175,125 @@ class NetworkJet:
         return cls(xs, np.zeros((rows, 4)), np.broadcast_to(np.eye(4), (rows, 4, 4)),
                    cotangent_orders)
 
-    def _ensure_scratch(self, hidden: int) -> None:
-        if hidden == self._hidden:
+    def _ensure_scratch(self, shape: tuple) -> None:
+        if shape == self._shape:
             return
+        stack, _, hidden = shape
         rows = self.xs.size
-        self._hidden = hidden
-        self._z = np.empty((rows, hidden))
-        self._sig = np.empty((5, rows, hidden))
+        self._shape = shape
+        self.y = np.empty((stack, rows, 4, 1))
+        self.cotangent = np.empty((stack, rows, self._orders, 1))
+        # forward copies theta here; its rows are (S, H) views, and (S, 1, H)
+        # views for the products that broadcast over rows
+        self._theta = np.empty(shape)
+        self._v, _, self._w = self._theta.transpose(1, 0, 2)
+        self._u_col, self._w_col = self._theta[:, 1:2], self._theta[:, 2:3]
+        self._z = np.empty((stack, rows, hidden))
+        self._sig = np.empty((5, stack, rows, hidden))
         self._sig_parts = tuple(self._sig)
         self._sig_lo = self._sig[:4]
-        self._sig_hi = self._sig[1:]
+        self._sig_hi = self._sig[1:, None]
         # _wstack[0] holds w^0..w^3, _wstack[1] their w-derivatives 0,1,2w,3w^2
-        self._wstack = np.zeros((2, 4, hidden))
+        self._wstack = np.zeros((2, 4, stack, hidden))
         self._wstack[0, 0] = self._wstack[1, 1] = 1.0
         self._wpow = wpow = self._wstack[0]
-        self._w1, self._w2, self._w3 = wpow[1], wpow[2], wpow[3]
-        self._dw2, self._dw3 = self._wstack[1, 2], self._wstack[1, 3]
-        self._vw = np.empty((4, hidden, 1))
-        self._vw_rows = self._vw[:, :, 0]
-        self._n = np.empty((4, rows, 1))
-        self._n_t = self._n.transpose(1, 0, 2)
-        self._s = np.empty((4, 1, hidden))
-        self._s_rows = self._s[:, 0, :]
-        self._tx = np.empty((2, 4, 1, hidden))
-        self._tx_rows = self._tx[:, :, 0, :]
-        self._prod_s = np.empty((2, 4, hidden))
-        self._prod_tx = np.empty((2, 4, hidden))
-        self._sum_s = np.empty((2, hidden))
-        self._sum_tx = np.empty((2, hidden))
+        self._w1, self._w2, self._w3 = wpow[1:]
+        self._dw2, self._dw3 = self._wstack[1, 2:]
+        self._vw = np.empty((4, stack, hidden, 1))
+        self._vw_rows = self._vw[..., 0]
+        # n is (S, 4, rows, 1): each entry's n_t column has the stride of a stack of one
+        n = np.empty((stack, 4, rows, 1))
+        self._n_out = n.transpose(1, 0, 2, 3)
+        self._n_t = n.transpose(0, 2, 1, 3)
+        # k[0, l] is the cotangent on n_l, k[1, l] the same scaled by x
+        k = np.empty((2, 4, stack, rows))
+        self.k, self._k_scaled = k
+        self._k_out = self.k.transpose(1, 2, 0)[..., None]
+        self._k_lhs = self.k[:, :, None, :]
+        self._k_both = k.transpose(1, 0, 2, 3)[:, :, :, None, :]
+        self._s = np.empty((4, stack, 1, hidden))
+        self._tx = np.empty((4, 2, stack, 1, hidden))
+        # the products for the sums over l, with l leading so that no sum runs
+        # along a contiguous axis: columns w^l s_l, w^l t_l, l w^(l-1) s_l and
+        # w^l x_l, so that one reduction gives the sums in gradient order
+        self._wstack_l = self._wstack.transpose(1, 0, 2, 3)
+        self._wpow_b = wpow[:, None]
+        self._s_b = self._s[:, None, :, 0]
+        self._tx_rows = self._tx[:, :, :, 0]
+        prod = self._prod = np.empty((4, 4, stack, hidden))
+        self._prod_s, self._prod_tx = prod[:, 0::2], prod[:, 1::2]
+        # sums[:, 0..2] become d_v, d_u, d_w in place; sums[:, 3] is w^l x_l
+        self._sums = np.empty((stack, 4, hidden))
+        self._sums_out = self._sums.transpose(1, 0, 2)
+        self._sum_parts = tuple(self._sums_out)
 
     def forward(self, theta: np.ndarray, need_grad: bool = False) -> np.ndarray:
-        """Fill and return the (rows, 4, 1) buffer y for a raw float64 (3, H) theta."""
+        """Fill and return the (S, rows, 4, 1) buffer y for a float64 (S, 3, H) theta."""
         # hot path: out arguments are positional, since training runs this
         # once per iteration
         mul = np.multiply
-        v, u, w = theta
-        self._ensure_scratch(theta.shape[1])
+        self._ensure_scratch(theta.shape)
+        np.copyto(self._theta, theta)
+        w = self._w
         z = self._z
-        mul(self._xs_col, w, z)
-        np.add(z, u, z)
+        mul(self._xs_col, self._w_col, z)
+        np.add(z, self._u_col, z)
         _sigmoid_stack(z, 4 if need_grad else 3, self._sig_parts)
 
         # n_l = sum_h v_h w_h^l sigma^(l), batched over l = 0..3
         np.copyto(self._w1, w)
         mul(w, w, self._w2)
         mul(self._w2, w, self._w3)
-        mul(v, self._wpow, self._vw_rows)
-        np.matmul(self._sig_lo, self._vw, self._n)
+        mul(self._v, self._wpow, self._vw_rows)
+        np.matmul(self._sig_lo, self._vw, self._n_out)
 
         y = self.y
-        np.matmul(self.linear, self._n_t, y)
+        np.matmul(self._linear_b, self._n_t, y)
         np.add(y, self._offset, y)
         return y
 
     def pull_to_network(self) -> np.ndarray:
-        """Map the cotangent buffer onto n: the (4, rows) buffer k, writable by the caller."""
-        np.matmul(self._adj, self.cotangent, self._kt)
-        k_rows = self._k_rows
-        np.copyto(k_rows, self._kt_rows)
-        return k_rows
+        """Map the cotangent buffer onto n: the (4, S, rows) buffer k, writable by the caller."""
+        np.matmul(self._adj, self.cotangent, self._k_out)
+        return self.k
 
-    def pull_to_params(self, theta: np.ndarray) -> np.ndarray:
-        """Map the cotangent k on n onto a fresh (3, H) gradient, rows d_v, d_u, d_w.
+    def pull_to_params(self) -> np.ndarray:
+        """Map the cotangent k on n onto a fresh (S, 3, H) gradient at the last forward's theta.
 
-        For z = w x + u: d/dv = sum_l w^l s_l, d/du = v sum_l w^l t_l and
-        d/dw = v sum_l (l w^(l-1) s_l + w^l x_l), where s_l = k_l . sigma^(l),
-        t_l = k_l . sigma^(l+1) and x_l = (k_l x) . sigma^(l+1), summed over rows.
+        Rows d_v, d_u, d_w.  For z = w x + u: d/dv = sum_l w^l s_l,
+        d/du = v sum_l w^l t_l and d/dw = v sum_l (l w^(l-1) s_l + w^l x_l),
+        where s_l = k_l . sigma^(l), t_l = k_l . sigma^(l+1) and
+        x_l = (k_l x) . sigma^(l+1), summed over rows.
         """
         mul = np.multiply
         add = np.add
-        mul(self._k_rows, self._xs_row, self._k_scaled)
+        mul(self.k, self._xs_row, self._k_scaled)
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
 
         mul(self._w1, 2.0, self._dw2)
         mul(self._w2, 3.0, self._dw3)
-        sum_s = self._sum_s
-        sum_tx = self._sum_tx
-        mul(self._wstack, self._s_rows, self._prod_s)
-        add.reduce(self._prod_s, 1, None, sum_s)
-        mul(self._tx_rows, self._wpow, self._prod_tx)
-        add.reduce(self._prod_tx, 1, None, sum_tx)
+        mul(self._wstack_l, self._s_b, self._prod_s)
+        mul(self._tx_rows, self._wpow_b, self._prod_tx)
+        add.reduce(self._prod, 0, None, self._sums_out)
 
-        v = theta[0]
-        grad = np.empty(theta.shape)
-        d_v, d_u, d_w = grad
-        np.copyto(d_v, sum_s[0])
-        mul(sum_tx[0], v, d_u)
-        add(sum_s[1], sum_tx[1], d_w)
+        v = self._v
+        _, d_u, d_w, sum_tx = self._sum_parts
+        mul(d_u, v, d_u)
+        add(d_w, sum_tx, d_w)
         mul(d_w, v, d_w)
-        return grad
+        return self._sums[:, :3].copy()
 
     def values(self, params: NetworkParams) -> np.ndarray:
         """y_0..y_3 at every abscissa, as a fresh (rows, 4) array."""
-        return self.forward(params.weights)[:, :, 0].copy()
+        return self.forward(params.weights[None])[0, :, :, 0].copy()
 
     def gradient(self, params: NetworkParams) -> np.ndarray:
         """Fresh (3, H) gradient of the selected outputs y_k, summed over rows and orders."""
-        self.forward(params.weights, need_grad=True)
+        self.forward(params.weights[None], need_grad=True)
         self.cotangent.fill(1.0)
         self.pull_to_network()
-        return self.pull_to_params(params.weights)
+        return self.pull_to_params()[0]
 
 
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:

@@ -8,10 +8,11 @@ weight is forced to zero there.
 
 LossEvaluator builds the trial jet (trial.trial_jet) of the grid once and
 returns loss and exact parameter gradient in one fused pass.  Training hits
-this path tens of thousands of times, so it works on the raw (3, H) weight
-array theta (rows v, u, w, the layout of NetworkParams.weights).  Every
-gradient, here and in the module-level loss_gradient wrapper, is a fresh
-(3, H) ndarray in that layout, rows d_v, d_u, d_w.
+this path tens of thousands of times, so it works on a raw (S, 3, H) stack
+theta of S weight arrays (rows v, u, w, the layout of
+NetworkParams.weights) and returns one total per entry and a fresh
+(S, 3, H) gradient, rows d_v, d_u, d_w.  report, gradient and the
+module-level loss and loss_gradient wrappers evaluate a stack of one.
 """
 
 from __future__ import annotations
@@ -83,23 +84,19 @@ class LossReport:
         object.__setattr__(self, "residuals", res)
 
 
-def _ordered_square_sum(values: np.ndarray) -> float:
-    total = 0.0
-    for val in values.tolist():
-        total += val * val
-    return total
-
-
 class LossEvaluator:
-    """Fused loss / gradient evaluation on a fixed grid.
+    """Fused loss / gradient evaluation on a fixed grid, for a stack of weight sets.
 
     The trial jet (trial.trial_jet) evaluates y, y'' and y''' at the grid
     points, plus y' at the domain end in penalty mode, and pulls the
     residual cotangent (dL/dy0, dL/dy2, dL/dy3) back onto the weights.  This
     class adds the residual, the penalty and that cotangent, so one
-    evaluate() call is a fixed handful of batched array operations.  Scratch
-    arrays are reused between calls to keep the training loop cheap;
-    everything returned is a fresh copy.
+    evaluate() call is a fixed handful of array operations for the whole
+    stack plus a short scalar tail per entry.  Each entry's total is its
+    squared residuals added left to right in grid order, then its penalty,
+    so it does not depend on the stack around it.  Scratch arrays are reused
+    between calls to keep the training loop cheap; everything returned is
+    fresh.
     """
 
     def __init__(self, spec: TrialSpec, grid: CollocationGrid,
@@ -115,69 +112,100 @@ class LossEvaluator:
         self.penalty_active = spec.mode is TrialMode.PENALTY and lam > 0.0
         self.penalty_weight = lam if spec.mode is TrialMode.PENALTY else 0.0
         xs = np.append(pts, spec.domain_end) if self.penalty_active else pts
-        jet = self._jet = trial_jet(spec, xs, (0, 2, 3))
-        self._y0 = jet.y[:, 0, 0]
-        self._y2 = jet.y[:, 2, 0]
-        self._y3 = jet.y[:, 3, 0]
-        self._r = np.empty(xs.size)
-        self._c_y0 = jet.cotangent[:, 0, 0]
-        self._c_y2 = jet.cotangent[:, 1, 0]
-        self._c_y3 = jet.cotangent[:, 2, 0]
+        self._rows = xs.size
+        self._jet = trial_jet(spec, xs, (0, 2, 3))
+        self._y = None
         if self.penalty_active:
             # the end row's cotangent sits on y' = F' N + F N'
-            self._f1_end, self._f0_end = jet.linear[m, 1, :2].tolist()
+            self._f1_end, self._f0_end = self._jet.linear[m, 1, :2].tolist()
+
+    def _bind(self, y: np.ndarray) -> None:
+        """Flat views onto the jet's buffers, rebuilt whenever the jet reallocates them."""
+        jet = self._jet
+        rows, m = self._rows, self.point_count
+        size = y.shape[0] * rows
+        self._y = y
+        flat = y.reshape(size, 4)
+        self._y0, self._y2, self._y3 = flat[:, 0], flat[:, 2], flat[:, 3]
+        self._c_y0, self._c_y2, self._c_y3 = jet.cotangent.reshape(size, 3).T
+        self._r = np.empty(size)
+        if self.penalty_active:
+            self._r_end = self._r[m::rows]
+            self._y1_end = y[:, m, 1, 0]
+            self._k0_end = jet.k[0, :, m]
+            self._k1_end = jet.k[1, :, m]
 
     def evaluate(self, theta: np.ndarray, need_grad: bool = True):
-        """Return (total, residuals, penalty_term, grad) for the raw (3, H) weights theta.
+        """Return (totals, penalty_terms, grad) for the float64 (S, 3, H) weight stack theta.
 
-        grad is the (3, H) gradient, rows d_v, d_u, d_w, or None when
-        need_grad is false; every returned array is fresh.
+        totals and penalty_terms are lists of S floats; grad is the fresh
+        (S, 3, H) gradient, rows d_v, d_u, d_w, or None when need_grad is
+        false.
 
         Overflow is deliberately left unguarded: a diverging parameter set
-        yields a non-finite total, which is the caller's divergence signal,
-        so numpy warnings are suppressed for the evaluation.
+        yields a non-finite total, which is the caller's divergence signal.
+        The caller decides whether numpy warns about it (np.errstate); the
+        training loop silences it once around all of its calls.
         """
-        theta = np.asarray(theta, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            # hot path: out arguments are positional, since this runs once
-            # per training iteration
-            mul = np.multiply
-            m = self.point_count
-            jet = self._jet
-            y = jet.forward(theta, need_grad)
-            r = self._r
-            mul(self._y0, 0.5, r)
-            mul(r, self._y2, r)
-            np.add(r, self._y3, r)
+        # hot path: out arguments are positional, since this runs once per
+        # training iteration
+        mul = np.multiply
+        jet = self._jet
+        y = jet.forward(theta, need_grad)
+        if y is not self._y:
+            self._bind(y)
+        r = self._r
+        mul(self._y0, 0.5, r)
+        mul(r, self._y2, r)
+        np.add(r, self._y3, r)
 
-            if self.penalty_active:
-                slope_err = float(y[m, 1, 0]) - 1.0
-                penalty = self.penalty_weight * slope_err * slope_err
-                # the end row carries the slope penalty, not a residual
-                r[m] = 0.0
-            else:
-                penalty = 0.0
-            total = _ordered_square_sum(r[:m]) + penalty
+        # per entry: squares added left to right, then lambda * err * err
+        rows, m = self._rows, self.point_count
+        values = r.tolist()
+        totals = []
+        penalties = []
+        errs = None
+        if self.penalty_active:
+            lam = self.penalty_weight
+            errs = [slope - 1.0 for slope in self._y1_end.tolist()]
+            # the end row carries the slope penalty, not a residual
+            self._r_end.fill(0.0)
+        for entry, start in enumerate(range(0, len(values), rows)):
+            total = 0.0
+            for val in values[start:start + m]:
+                total += val * val
+            penalty = 0.0
+            if errs is not None:
+                err = errs[entry]
+                penalty = lam * err * err
+            totals.append(total + penalty)
+            penalties.append(penalty)
 
-            if not need_grad:
-                return total, r[:m].copy(), penalty, None
+        if not need_grad:
+            return totals, penalties, None
 
-            mul(r, self._y2, self._c_y0)
-            mul(r, self._y0, self._c_y2)
-            mul(r, 2.0, self._c_y3)
-            k_rows = jet.pull_to_network()
-            if self.penalty_active:
-                cp = 2.0 * self.penalty_weight * slope_err
-                k_rows[0, m] = cp * self._f1_end
-                k_rows[1, m] = cp * self._f0_end
-            return total, r[:m].copy(), penalty, jet.pull_to_params(theta)
+        mul(r, self._y2, self._c_y0)
+        mul(r, self._y0, self._c_y2)
+        mul(r, 2.0, self._c_y3)
+        jet.pull_to_network()
+        if errs is not None:
+            k0_end, k1_end = self._k0_end, self._k1_end
+            f1, f0 = self._f1_end, self._f0_end
+            for entry, err in enumerate(errs):
+                cp = 2.0 * lam * err
+                k0_end[entry] = cp * f1
+                k1_end[entry] = cp * f0
+        return totals, penalties, jet.pull_to_params()
 
     def report(self, params: NetworkParams) -> LossReport:
-        total, residuals, penalty, _ = self.evaluate(params.weights, need_grad=False)
-        return LossReport(total=total, residuals=residuals, penalty_term=penalty)
+        with np.errstate(all="ignore"):
+            totals, penalties, _ = self.evaluate(params.weights[None], need_grad=False)
+        return LossReport(total=totals[0], residuals=self._r[:self.point_count],
+                          penalty_term=penalties[0])
 
     def gradient(self, params: NetworkParams) -> np.ndarray:
-        return self.evaluate(params.weights)[3]
+        with np.errstate(all="ignore"):
+            return self.evaluate(params.weights[None])[2][0]
 
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,

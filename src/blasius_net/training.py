@@ -4,15 +4,18 @@ Initial weights come from a hand-rolled xorshift64* stream so that a given
 seed produces bit-identical parameters on every platform; nothing else in a
 run is stochastic, so whole training runs are reproducible byte for byte.
 
-train carries the weights as one (3, H) array theta with rows v, u, w (the
-layout of NetworkParams.weights), with one velocity of the same shape and
-one (3, 1) column of per-group learning rates, so the momentum step is three
-whole-array operations.
+One loop trains every seed of a sweep in lockstep: the weights of S seeds
+are one (S, 3, H) array theta with rows v, u, w per seed (the layout of
+NetworkParams.weights), with one velocity of the same shape and one (3, 1)
+column of per-group learning rates, so the momentum step is three
+whole-array operations for all seeds.  A seed leaves the stack when it
+diverges, reaches the loss target or uses up its budget.  Every entry is
+computed independently of the others, so a seed's run is the same bit for
+bit alone (train is a stack of one) and at any position of a seed_sweep.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -156,51 +159,81 @@ class TrainingRun:
     loss_history: list[float]
 
 
+def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
+    """Train one run per seed, all seeds as one (S, 3, H) stack moving in lockstep.
+
+    Returns one outcome per seed, in order: its TrainingRun, or the
+    TrainingDivergedError of the iteration at which its loss stopped being
+    finite.  A seed leaves the stack once it diverges, reaches the loss
+    target or uses up the iteration budget; the others carry on.
+    """
+    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
+    # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
+    theta = np.array([init_params(seed, cfg.hidden_count, cfg.init_scale).weights
+                      for seed in seeds])
+    velocity = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
+    outcomes = [None] * len(seeds)
+    slots = list(range(len(seeds)))  # outcome slot of each stack entry
+    histories = [[] for _ in seeds]  # loss history of each stack entry
+    budget, target = cfg.max_iterations, cfg.loss_target
+    used = 0
+    with np.errstate(all="ignore"):
+        totals, _, grad = evaluator.evaluate(theta)
+        while True:
+            # sum() is NaN-safe where min() is not: min skips a NaN that is not first
+            if used < budget and math.isfinite(sum(totals)) and min(totals) > target:
+                for history, total in zip(histories, totals):
+                    history.append(total)
+            else:
+                keep = []
+                for entry, (slot, total) in enumerate(zip(slots, totals)):
+                    if not math.isfinite(total):
+                        outcomes[slot] = TrainingDivergedError(used)
+                        continue
+                    histories[entry].append(total)
+                    if used < budget and total > target:
+                        keep.append(entry)
+                    else:
+                        outcomes[slot] = TrainingRun(
+                            final_params=NetworkParams(*theta[entry]), final_loss=total,
+                            iterations_used=used, loss_history=histories[entry])
+                if not keep:
+                    return outcomes
+                if len(keep) < len(slots):
+                    slots = [slots[entry] for entry in keep]
+                    histories = [histories[entry] for entry in keep]
+                    theta, velocity, grad = theta[keep], velocity[keep], grad[keep]
+                    step = np.empty_like(theta)
+            # momentum step, in place; row g of each grad entry takes its group's rate rates[g]
+            velocity *= MOMENTUM_COEFF
+            velocity += np.multiply(rates, grad, step)
+            theta -= velocity
+            used += 1
+            totals, _, grad = evaluator.evaluate(theta)
+
+
 def train(cfg: TrainingConfig) -> TrainingRun:
     """Run gradient descent until the loss target, divergence, or the iteration cap.
 
     loss_history holds the loss before any step and after every iteration.
-    Deterministic: the same config always produces the same run, bit for bit.
+    Deterministic: the same config always produces the same run, bit for bit,
+    and the same run as that seed gives inside a seed_sweep.
     """
-    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
-    # theta and velocity are loop-owned (3, H) arrays, rows v, u, w
-    theta = init_params(cfg.seed, cfg.hidden_count, cfg.init_scale).weights.copy()
-    velocity = np.zeros_like(theta)
-    rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
-
-    total, _, _, grad = evaluator.evaluate(theta)
-    if not math.isfinite(total):
-        raise TrainingDivergedError(0)
-    history = [total]
-    used = 0
-    while used < cfg.max_iterations and total > cfg.loss_target:
-        # momentum step, in place; row g of grad takes its group's rate rates[g]
-        velocity *= MOMENTUM_COEFF
-        velocity += rates * grad
-        theta -= velocity
-        used += 1
-        total, _, _, grad = evaluator.evaluate(theta)
-        if not math.isfinite(total):
-            raise TrainingDivergedError(used)
-        history.append(total)
-
-    # total was evaluated at the final theta by the loop's last call
-    return TrainingRun(final_params=NetworkParams(*theta), final_loss=total,
-                       iterations_used=used, loss_history=history)
+    (outcome,) = _train_lockstep(cfg, [cfg.seed])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
 
 
 def seed_sweep(cfg: TrainingConfig, run_count: int) -> list[TrainingRun | None]:
-    """Train with seeds cfg.seed .. cfg.seed + run_count - 1; None marks a diverged seed."""
+    """Train seeds cfg.seed .. cfg.seed + run_count - 1 in lockstep; None marks a diverged seed."""
     if run_count < 1:
         raise ValueError("run_count must be at least 1")
-    results: list[TrainingRun | None] = []
-    for offset in range(run_count):
-        run_cfg = dataclasses.replace(cfg, seed=(cfg.seed + offset) & _MASK64)
-        try:
-            results.append(train(run_cfg))
-        except TrainingDivergedError:
-            results.append(None)
-    return results
+    seeds = [(cfg.seed + offset) & _MASK64 for offset in range(run_count)]
+    return [None if isinstance(outcome, TrainingDivergedError) else outcome
+            for outcome in _train_lockstep(cfg, seeds)]
 
 
 def best_run(runs: list[TrainingRun | None]) -> TrainingRun | None:

@@ -1,0 +1,142 @@
+"""Batch invariance: a stacked evaluation gives every entry the bits it gets alone.
+
+seed_sweep trains all its seeds as one (S, 3, H) stack, and the gradient
+audit pushes all 2 * 3H finite-difference perturbations through one call.
+These properties pin both to the one-at-a-time results, bit for bit.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blasius_net.gradcheck import fd_param_gradient
+from blasius_net.network import NetworkJet, NetworkParams
+from blasius_net.problem import CollocationGrid, LossEvaluator
+from blasius_net.training import TrainingConfig, TrainingDivergedError, seed_sweep, train
+from blasius_net.trial import TrialMode, TrialSpec, trial_jet
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+# neighbourhoods: plain runs; lr = 3e-4, where seeds 0 and 5 of 0..7 diverge
+# (seed 0 at iteration 6); loss target 0.05, which seeds 1, 3 and 6 reach early
+CONFIGS = {
+    "plain": TrainingConfig(max_iterations=40),
+    "diverging": TrainingConfig(lr_v=3e-4, lr_u=3e-4, lr_w=3e-4, max_iterations=40),
+    "early_stop": TrainingConfig(loss_target=0.05, max_iterations=160),
+    "paper": TrainingConfig(trial=TrialSpec(TrialMode.PAPER, 6.0), max_iterations=20),
+}
+
+
+def outcome_alone(cfg):
+    try:
+        return train(cfg)
+    except TrainingDivergedError:
+        return None
+
+
+def same_run(left, right):
+    if left is None or right is None:
+        return left is None and right is None
+    return (left.final_loss == right.final_loss
+            and left.loss_history == right.loss_history
+            and left.iterations_used == right.iterations_used
+            and left.final_params.weights.tobytes() == right.final_params.weights.tobytes())
+
+
+def test_neighbourhoods_hold_what_they_promise():
+    diverging = seed_sweep(CONFIGS["diverging"], 8)
+    assert [run is None for run in diverging] == [i in (0, 5) for i in range(8)]
+    try:
+        train(CONFIGS["diverging"])
+    except TrainingDivergedError as exc:
+        assert exc.iteration == 6
+    else:
+        raise AssertionError("seed 0 should diverge")
+    early = seed_sweep(CONFIGS["early_stop"], 8)
+    stopped = [i for i, run in enumerate(early) if run.iterations_used < 160]
+    assert stopped == [1, 3, 6]
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(CONFIGS)), hidden=st.sampled_from([1, 2, 5]),
+       start=st.integers(0, 6), data=st.data())
+def test_seed_runs_alike_alone_and_in_any_sweep_position(name, hidden, start, data):
+    cfg = dataclasses.replace(CONFIGS[name], hidden_count=hidden, seed=start)
+    count = data.draw(st.integers(1, 20), label="run_count")
+    position = data.draw(st.integers(0, count - 1), label="position")
+    swept = seed_sweep(cfg, count)
+    assert len(swept) == count
+    alone = outcome_alone(dataclasses.replace(cfg, seed=start + position))
+    assert same_run(swept[position], alone)
+
+
+def test_full_width_sweep_matches_every_seed_alone():
+    cfg = CONFIGS["diverging"]
+    swept = seed_sweep(cfg, 20)
+    for seed, run in enumerate(swept):
+        assert same_run(run, outcome_alone(dataclasses.replace(cfg, seed=seed)))
+
+
+def per_perturbation_gradient(objective, params, step):
+    """The central difference one perturbed weight set at a time."""
+    grad = np.empty(params.weights.shape)
+    for group in range(3):
+        for i in range(params.hidden_count):
+            shifted = []
+            for delta in (+step, -step):
+                weights = params.weights.copy()
+                weights[group, i] += delta
+                shifted.append(objective(NetworkParams(*weights)))
+            grad[group, i] = (shifted[0] - shifted[1]) / (2.0 * step)
+    return grad
+
+
+weights_strategy = st.integers(1, 6).flatmap(
+    lambda h: st.lists(st.floats(-2.0, 2.0), min_size=3 * h, max_size=3 * h))
+
+
+def as_params(flat):
+    h = len(flat) // 3
+    return NetworkParams(flat[:h], flat[h:2 * h], flat[2 * h:])
+
+
+@PROPERTY
+@given(flat=weights_strategy, x=st.floats(0.0, 6.0), order=st.integers(0, 3),
+       mode=st.sampled_from([None, TrialMode.PAPER, TrialMode.PENALTY]),
+       step=st.sampled_from([1e-6, 1e-3]))
+def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, mode, step):
+    params = as_params(flat)
+    jet = NetworkJet.bare([x]) if mode is None else trial_jet(TrialSpec(mode, 6.0), [x])
+    stacked = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order, 0], params, step)
+    single = per_perturbation_gradient(lambda p: jet.values(p)[0, order], params, step)
+    assert stacked.tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(flat=weights_strategy, mode=st.sampled_from([TrialMode.PAPER, TrialMode.PENALTY]))
+def test_fd_loss_gradient_equals_per_perturbation_differences(flat, mode):
+    params = as_params(flat)
+    evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(10, 6.0))
+    stacked = fd_param_gradient(lambda stack: evaluator.evaluate(stack, need_grad=False)[0],
+                                params)
+    single = per_perturbation_gradient(lambda p: evaluator.report(p).total, params, 1e-6)
+    assert stacked.tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(flat=weights_strategy, count=st.integers(1, 12), data=st.data())
+def test_evaluator_entry_matches_stack_of_one(flat, count, data):
+    params = as_params(flat)
+    position = data.draw(st.integers(0, count - 1), label="position")
+    rng = np.random.default_rng(count)
+    stack = rng.uniform(-2.0, 2.0, (count,) + params.weights.shape)
+    stack[position] = params.weights
+    evaluator = LossEvaluator(TrialSpec(TrialMode.PENALTY, 6.0),
+                              CollocationGrid.equidistant(10, 6.0))
+    totals, penalties, grad = evaluator.evaluate(stack)
+    alone_totals, alone_penalties, alone_grad = evaluator.evaluate(params.weights[None])
+    assert totals[position] == alone_totals[0]
+    assert penalties[position] == alone_penalties[0]
+    assert grad[position].tobytes() == alone_grad[0].tobytes()

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from blasius_net import cli, training
+from blasius_net import problem
 from blasius_net.cli import run_cli
 from blasius_net.model_io import load_model
 from blasius_net.oracles import rk4_profile, series_eval, shoot
@@ -45,19 +45,19 @@ def test_solve_is_byte_deterministic(tmp_path):
 
 
 def test_solve_sweeps_each_seed_once(monkeypatch, capsys):
-    calls = []
+    # a sweep trains every seed in one lockstep loop: one evaluator per sweep
+    builds = []
+    original = problem.LossEvaluator.__init__
 
-    def counting_train(cfg):
-        calls.append(cfg.seed)
-        return original(cfg)
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
 
-    original = training.train
-    monkeypatch.setattr(training, "train", counting_train)
-    monkeypatch.setattr(cli, "train", counting_train)
+    monkeypatch.setattr(problem.LossEvaluator, "__init__", counting_init)
     code = run_cli(QUICK_SOLVE + ["--runs", "3"])
     captured = capsys.readouterr()
     assert code == 0
-    assert calls == [0, 1, 2]
+    assert len(builds) == 1
     assert captured.out == (
         "mode=penalty hidden=3 points=6 domain_end=6 seed=0 runs=3\n"
         "final loss: best=7.352425e-03 mean=2.252596e-02 min=7.352425e-03 max=3.053411e-02\n"
@@ -168,6 +168,15 @@ def test_check_gradients_passes(capsys):
     assert code == 0
     assert captured.out.count("PASS") == 15  # 14 cases + overall
     assert "overall: PASS" in captured.out
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_check_gradients_without_draws_fails(draws, capsys):
+    code = run_cli(["check-gradients", "--draws", draws])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: draws must be at least 1\n"
 
 
 def test_profile_evaluates_model(quick_model, tmp_path, capsys):

@@ -9,7 +9,7 @@ from blasius_net.gradcheck import (
     gradient_discrepancy,
     run_gradient_checks,
 )
-from blasius_net.network import NetworkParams, input_derivative, param_gradient
+from blasius_net.network import NetworkJet, NetworkParams, param_gradient
 
 # [r.max_rel_error for r in run_gradient_checks(draws=3, seed=0)], repr-exact;
 # any rounding change in the audit's draws, jets, evaluator or differences moves one
@@ -33,7 +33,8 @@ AUDIT_FINGERPRINT = [
 
 def test_fd_param_gradient_matches_analytic_forward():
     params = NetworkParams([0.4, -0.9], [0.2, 0.1], [1.1, -0.3])
-    numeric = fd_param_gradient(lambda p: input_derivative(p, 1.3, 0), params)
+    jet = NetworkJet.bare([1.3])
+    numeric = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, 0, 0], params)
     analytic = param_gradient(params, 1.3, 0)
     assert np.allclose(numeric[0], analytic[0], atol=1e-8)
     assert np.allclose(numeric[1], analytic[1], atol=1e-8)
@@ -74,3 +75,10 @@ def test_run_gradient_checks_is_deterministic():
 def test_run_gradient_checks_is_bit_exact():
     results = run_gradient_checks(draws=3, seed=0)
     assert [r.max_rel_error for r in results] == AUDIT_FINGERPRINT
+
+
+@pytest.mark.parametrize("draws", [0, -1])
+def test_run_gradient_checks_rejects_no_draws(draws):
+    # an audit of no draws would pass every case without checking anything
+    with pytest.raises(ValueError, match="draws must be at least 1"):
+        run_gradient_checks(draws=draws)

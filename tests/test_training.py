@@ -168,7 +168,7 @@ def test_train_replays_momentum_update():
     rates = (cfg.lr_v, cfg.lr_u, cfg.lr_w)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
     for _ in range(3):
-        grads = evaluator.evaluate(np.array(params))[3]
+        grads = evaluator.evaluate(np.array(params)[None])[2][0]
         velocity = [MOMENTUM_COEFF * vel + lr * g for vel, lr, g in zip(velocity, rates, grads)]
         params = [p - vel for p, vel in zip(params, velocity)]
     run = train(cfg)
