@@ -15,6 +15,7 @@ All numeric parsing/printing is locale-independent.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -205,10 +206,15 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the tree as it was, so one tree serves every call
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -7,13 +7,17 @@ division breaks down whenever a single component happens to sit near zero
 while the vector itself is large.
 
 fd_param_gradient hands the objective all 2 * 3H perturbed weight sets of
-one draw as a single (2 * 3H, 3, H) stack, so each draw costs one stacked
-jet or evaluator call instead of 2 * 3H calls; each stacked entry gives the
-bits its own call would.
+every weight set it is given as one stack.  run_gradient_checks draws in
+blocks of at most AUDIT_BLOCK and makes one stacked jet or evaluator call
+per block: the block's own weight sets first, whose pullback gives the
+analytic gradients, then every draw's perturbations, each entry at its own
+draw's abscissa.  Each stacked entry gives the bits its own call would, and
+the block bounds the audit's memory whatever the number of draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,6 +33,7 @@ __all__ = ["GradCheckResult", "fd_param_gradient", "run_gradient_checks"]
 FD_STEP = 1e-6
 REL_TOL = 1e-5
 SCALE_FLOOR = 1e-6
+AUDIT_BLOCK = 10  # draws per stacked call
 
 
 @dataclass(frozen=True)
@@ -39,30 +44,40 @@ class GradCheckResult:
     passed: bool
 
 
-def fd_param_gradient(objective, params: NetworkParams, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of an objective, shaped like params.weights.
+def fd_param_gradient(objective, params, step: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of an objective at each of D weight sets.
 
-    objective maps a (K, 3, H) stack of weight sets to their K values.  It is
-    called once, on the 2 * 3H sets that shift one weight of params by +step
-    (the first 3H) or by -step (the last 3H).
+    params is a NetworkParams or a (D, 3, H) stack of weight sets; the
+    result is shaped like its weights.  objective maps a (K, 3, H) stack of
+    weight sets to their K values.  It is called once, on 2 * 3H sets per
+    weight set, in order: for each weight set, the 3H sets that shift one of
+    its weights by +step, then the 3H that shift it by -step.
     """
-    weights = params.weights
-    count = weights.size
-    stack = np.repeat(weights.reshape(1, 1, count), 2 * count, axis=1).reshape(2, count, count)
+    weights = params.weights if isinstance(params, NetworkParams) else np.asarray(params, np.float64)
+    count = weights.shape[-2] * weights.shape[-1]
+    sets = weights.reshape(-1, 1, 1, count)
+    stack = np.broadcast_to(sets, (sets.shape[0], 2, count, count)).copy()
     diagonal = np.arange(count)
-    stack[0, diagonal, diagonal] += step
-    stack[1, diagonal, diagonal] -= step
-    values = np.array(objective(stack.reshape((2 * count,) + weights.shape)), dtype=np.float64)
-    return ((values[:count] - values[count:]) / (2.0 * step)).reshape(weights.shape)
+    stack[:, 0, diagonal, diagonal] += step
+    stack[:, 1, diagonal, diagonal] -= step
+    values = np.array(objective(stack.reshape((-1,) + weights.shape[-2:])), dtype=np.float64)
+    values = values.reshape(-1, 2, count)
+    return ((values[:, 0] - values[:, 1]) / (2.0 * step)).reshape(weights.shape)
 
 
 def gradient_discrepancy(analytic, numeric) -> float:
-    """Worst component difference, normalized by the larger vector max-norm."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(n))), SCALE_FLOOR)
-        worst = max(worst, float(np.max(np.abs(a - n))) / scale)
-    return worst
+    """Worst component difference, normalized by the larger vector max-norm.
+
+    Both are arrays of gradient vectors along the last axis: a (3, H)
+    gradient holds the vectors d_v, d_u and d_w.  A NaN or an infinity in
+    either makes the discrepancy infinite, so that it fails any tolerance.
+    """
+    a = np.asarray(analytic, dtype=np.float64)
+    n = np.asarray(numeric, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(np.maximum(np.abs(a).max(-1), np.abs(n).max(-1)), SCALE_FLOOR)
+        worst = float(np.max(np.abs(a - n).max(-1) / scale))
+    return worst if np.isfinite(worst) else math.inf
 
 
 def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
@@ -72,30 +87,57 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
     Covers the network's own derivatives (orders 0..3), the trial solution's
     derivatives (both modes, orders 0..3) and the loss (both modes); every
     case uses fresh random parameters and abscissae from a seeded
-    deterministic stream.  Each derivative draw builds one jet at its
-    abscissa; each loss case reuses one evaluator.
+    deterministic stream.  Each block of draws builds one jet with an
+    abscissa per entry; each loss case reuses one evaluator.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    if not np.isfinite(step) or step <= 0.0:
+        raise ValueError("step must be finite and positive")
     results = []
 
-    def case(name: str, rng: XorShift64Star, probe) -> None:
-        # probe(rng) -> (analytic gradient, stacked objective), after each parameter draw
+    def case(name: str, rng: XorShift64Star, measure, abscissae: bool = True) -> None:
+        # measure(stack, xs) -> (values, gradients) of every entry of the stack:
+        # the block's B weight sets, then their 2 * 3H perturbations each;
+        # xs holds the B draws' abscissae
         worst = 0.0
-        for _ in range(draws):
-            params = _draw_params(rng, hidden, 1.0)
-            gradient, objective = probe(rng)
-            analytic = gradient(params)
-            numeric = fd_param_gradient(objective, params, step)
-            worst = max(worst, gradient_discrepancy(analytic, numeric))
+        for start in range(0, draws, AUDIT_BLOCK):
+            size = min(AUDIT_BLOCK, draws - start)
+            thetas = np.empty((size, 3, hidden))
+            xs = np.empty(size)
+            for b in range(size):
+                thetas[b] = _draw_params(rng, hidden, 1.0).weights
+                if abscissae:
+                    xs[b] = rng.uniform(0.05, 5.95)
+            analytic = []
+
+            def objective(perturbed):
+                # the block's own weight sets ride in front of their perturbations
+                values, gradients = measure(np.concatenate((thetas, perturbed)), xs)
+                analytic.append(gradients[:size])
+                return values[size:]
+
+            numeric = fd_param_gradient(objective, thetas, step)
+            worst = max(worst, gradient_discrepancy(analytic[0], numeric))
         results.append(GradCheckResult(name=name, draws=draws, max_rel_error=worst,
                                        passed=worst <= tol))
 
-    def jet_probe(build, order: int):
-        def probe(rng: XorShift64Star):
-            jet = build([rng.uniform(0.05, 5.95)], (order,))
-            return jet.gradient, lambda stack: jet.forward(stack)[:, 0, order, 0]
-        return probe
+    def jet_measure(build, order: int):
+        def measure(stack, xs):
+            entry_xs = np.concatenate((xs, np.repeat(xs, 2 * stack[0].size)))
+            jet = build(entry_xs[:, None], (order,))
+            y = jet.forward(stack, need_grad=True)
+            jet.cotangent.fill(1.0)
+            jet.pull_to_network()
+            return y[:, 0, order, 0], jet.pull_to_params()
+        return measure
+
+    def loss_measure(evaluator: LossEvaluator):
+        def measure(stack, _):
+            with np.errstate(all="ignore"):
+                totals, _, grad = evaluator.evaluate(stack)
+            return totals, grad
+        return measure
 
     specs = {
         TrialMode.PAPER: TrialSpec(TrialMode.PAPER, 6.0),
@@ -105,18 +147,16 @@ def run_gradient_checks(draws: int = 100, seed: int = 0, hidden: int = 5,
 
     for order in range(4):
         case(f"param_gradient order {order}", XorShift64Star(seed * 977 + order),
-             jet_probe(NetworkJet.bare, order))
+             jet_measure(NetworkJet.bare, order))
 
     for mode, spec in specs.items():
         for order in range(4):
             rng = XorShift64Star(seed * 1013 + order * 8 + (0 if mode is TrialMode.PAPER else 4))
             case(f"trial_param_gradient {mode.value} order {order}", rng,
-                 jet_probe(partial(trial_jet, spec), order))
+                 jet_measure(partial(trial_jet, spec), order))
 
     for mode, spec in specs.items():
         rng = XorShift64Star(seed * 2027 + (0 if mode is TrialMode.PAPER else 1))
-        evaluator = LossEvaluator(spec, grid)
-        case(f"loss_gradient {mode.value}", rng,
-             lambda _: (evaluator.gradient,
-                        lambda stack: evaluator.evaluate(stack, need_grad=False)[0]))
+        case(f"loss_gradient {mode.value}", rng, loss_measure(LossEvaluator(spec, grid)),
+             abscissae=False)
     return results

@@ -28,8 +28,13 @@ solution's Leibniz rule, or the identity for the bare network), and pulls
 cotangents on the mapped values back onto the weights.  It works on a stack
 of S networks at once: theta is (S, 3, H), forward fills (S, rows, 4, 1) and
 pull_to_params returns (S, 3, H), each entry bit-identical to a stack of
-one.  Training stacks its seeds, the gradient audit its perturbed weights;
-values, gradient, input_derivative and param_gradient are stacks of one.
+one.  The abscissae are either shared by every entry, xs of shape (rows,),
+or given per entry, xs of shape (S, rows) with the map's offset and linear
+parts per entry too; an entry's bits are the same either way.  Training
+stacks its seeds on shared abscissae; the gradient audit stacks each block
+of draws, every draw's own weights and perturbations at that draw's
+abscissa.  values, gradient, input_derivative and param_gradient are
+stacks of one.
 """
 
 from __future__ import annotations
@@ -144,7 +149,10 @@ class NetworkJet:
     and treats its entries independently: each matrix product sees one
     entry's slice with the shape and strides of a stack of one, and every
     sum runs in a fixed order, so an entry's results do not depend on S or
-    on its position in the stack.
+    on its position in the stack.  xs is (rows,), shared by any stack, with
+    offset (rows, 4) and linear (rows, 4, 4); or it is (S, rows), one row of
+    abscissae per entry, with offset (S, rows, 4) and linear
+    (S, rows, 4, 4), and the jet then takes stacks of exactly S.
 
     The adjoint takes a cotangent on the outputs y_k with k in
     cotangent_orders, one column per order, back onto n and then onto
@@ -157,29 +165,35 @@ class NetworkJet:
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
         xs = np.array(xs, dtype=np.float64)
+        if xs.ndim not in (1, 2):
+            raise ValueError("xs must be (rows,) or (S, rows)")
         self.xs = xs
         self.linear = np.array(linear, dtype=np.float64)
-        self._xs_col = xs[:, None]
-        self._xs_row = xs[None, :]
-        # leading axes of one: a stack of one then meets no broadcasting
-        self._linear_b = self.linear[None]
-        self._offset = np.array(offset, dtype=np.float64)[None, :, :, None]
-        self._adj = np.ascontiguousarray(self.linear[None, :, cotangent_orders, :].transpose(0, 1, 3, 2))
+        self._xs_col = xs[..., None]
+        # shared abscissae get leading axes of one: a stack of one then meets
+        # no broadcasting
+        lead = xs.shape[:-1] or (1,)
+        self._linear_b = self.linear.reshape(lead + self.linear.shape[-3:])
+        self._offset = np.array(offset, dtype=np.float64).reshape(self._linear_b.shape[:-1])[..., None]
+        self._adj = np.ascontiguousarray(self._linear_b[:, :, cotangent_orders, :].transpose(0, 1, 3, 2))
         self._orders = len(cotangent_orders)
         self._shape = None
 
     @classmethod
     def bare(cls, xs, cotangent_orders=(0,)) -> "NetworkJet":
         """The network's own derivatives: y_k = n_k."""
-        rows = np.size(xs)
-        return cls(xs, np.zeros((rows, 4)), np.broadcast_to(np.eye(4), (rows, 4, 4)),
+        shape = np.shape(xs)
+        return cls(xs, np.zeros(shape + (4,)), np.broadcast_to(np.eye(4), shape + (4, 4)),
                    cotangent_orders)
 
     def _ensure_scratch(self, shape: tuple) -> None:
         if shape == self._shape:
             return
         stack, _, hidden = shape
-        rows = self.xs.size
+        if self.xs.ndim == 2 and stack != self.xs.shape[0]:
+            raise ValueError(f"a jet with abscissae per entry takes stacks of {self.xs.shape[0]}, "
+                             f"got {stack}")
+        rows = self.xs.shape[-1]
         self._shape = shape
         self.y = np.empty((stack, rows, 4, 1))
         self.cotangent = np.empty((stack, rows, self._orders, 1))
@@ -267,7 +281,7 @@ class NetworkJet:
         """
         mul = np.multiply
         add = np.add
-        mul(self.k, self._xs_row, self._k_scaled)
+        mul(self.k, self.xs, self._k_scaled)
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
 

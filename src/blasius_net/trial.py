@@ -12,9 +12,11 @@ y'(0) = 0 hold identically, whatever the network does.  Two families:
 Derivatives of y follow from the Leibniz rule on F * N; A and F derivatives
 are hand-coded closed forms.  trial_jet turns both into the per-row linear
 map y_k = A^(k) + sum_j C(k, j) F^(j) N^(k-j) of a NetworkJet, which every
-trial-solution path evaluates; the scalar functions below are one-row
-wrappers around it, and trial_param_gradient returns a plain (3, H) array,
-rows d_v, d_u, d_w.
+trial-solution path evaluates.  It builds the map for abscissae of any
+shape the jet takes: (rows,), shared by a whole stack, or (S, rows), one
+row per stack entry.  The scalar functions below are one-row wrappers
+around it, and trial_param_gradient returns a plain (3, H) array, rows
+d_v, d_u, d_w.
 """
 
 from __future__ import annotations
@@ -93,19 +95,20 @@ def envelope_terms(mode: TrialMode, x: np.ndarray) -> tuple[np.ndarray, ...]:
 def trial_jet(spec: TrialSpec, xs, cotangent_orders=(0,)) -> NetworkJet:
     """NetworkJet of y, y', y'', y''' at the abscissae xs, which must lie in [0, L].
 
-    Row k of the Leibniz map puts C(k, j) F^(j) on N^(k-j); the offset row
-    holds A and its derivatives.
+    xs is (rows,) or (S, rows), as NetworkJet takes it.  Row k of the
+    Leibniz map puts C(k, j) F^(j) on N^(k-j); the offset row holds A and
+    its derivatives.
     """
     xs = np.array(xs, dtype=np.float64)
     outside = ~((xs >= 0.0) & (xs <= spec.domain_end))  # NaN counts as outside
     if outside.any():
         raise ValueError(f"x = {xs[outside][0]} outside the trial domain [0, {spec.domain_end}]")
     f = envelope_terms(spec.mode, xs)
-    linear = np.zeros((xs.size, 4, 4))
+    linear = np.zeros(xs.shape + (4, 4))
     for k, row in enumerate(_BINOM):
         for j, coeff in enumerate(row):
-            linear[:, k, k - j] = coeff * f[j]
-    offset = np.stack(offset_terms(spec.mode, xs), axis=1)
+            linear[..., k, k - j] = coeff * f[j]
+    offset = np.stack(offset_terms(spec.mode, xs), axis=-1)
     return NetworkJet(xs, offset, linear, cotangent_orders)
 
 

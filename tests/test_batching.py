@@ -1,13 +1,17 @@
 """Batch invariance: a stacked evaluation gives every entry the bits it gets alone.
 
 seed_sweep trains all its seeds as one (S, 3, H) stack, and the gradient
-audit pushes all 2 * 3H finite-difference perturbations through one call.
-These properties pin both to the one-at-a-time results, bit for bit.
+audit pushes a block of draws, their own weights and all 2 * 3H
+finite-difference perturbations of each, through one call with an abscissa
+per entry.  These properties pin both to the one-at-a-time results, bit for
+bit.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +144,60 @@ def test_evaluator_entry_matches_stack_of_one(flat, count, data):
     assert totals[position] == alone_totals[0]
     assert penalties[position] == alone_penalties[0]
     assert grad[position].tobytes() == alone_grad[0].tobytes()
+
+
+def jet_builder(kind):
+    if kind == "bare":
+        return NetworkJet.bare
+    return partial(trial_jet, TrialSpec(TrialMode(kind), 6.0))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["bare", "paper", "penalty"]), hidden=st.integers(1, 6),
+       count=st.integers(1, 12), rows=st.integers(1, 3), order=st.integers(0, 3),
+       data=st.data())
+def test_per_entry_abscissae_match_shared_stack_of_one(kind, hidden, count, rows, order, data):
+    build = jet_builder(kind)
+    flat = data.draw(st.lists(st.floats(0.0, 6.0), min_size=count * rows,
+                              max_size=count * rows), label="xs")
+    xs = np.array(flat).reshape(count, rows)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="weights_seed")
+    theta = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
+    jet = build(xs, (order,))
+    values = jet.forward(theta, need_grad=True)[:, :, :, 0].copy()
+    jet.cotangent.fill(1.0)
+    jet.pull_to_network()
+    grads = jet.pull_to_params()
+    for entry in range(count):
+        params = NetworkParams(*theta[entry])
+        alone = build(xs[entry], (order,))
+        assert values[entry].tobytes() == alone.values(params).tobytes()
+        assert grads[entry].tobytes() == alone.gradient(params).tobytes()
+
+
+def test_per_entry_jet_takes_stacks_of_its_own_size():
+    jet = NetworkJet.bare([[0.5], [1.5]])
+    jet.forward(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="takes stacks of 2, got 3"):
+        jet.forward(np.zeros((3, 3, 4)))
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["bare", "paper", "penalty", "loss"]), hidden=st.integers(1, 6),
+       count=st.integers(1, 5), x=st.floats(0.0, 6.0), order=st.integers(0, 3),
+       step=st.sampled_from([1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x, order, step,
+                                                          seed):
+    if kind == "loss":
+        evaluator = LossEvaluator(TrialSpec(TrialMode.PENALTY, 6.0),
+                                  CollocationGrid.equidistant(10, 6.0))
+        objective = lambda stack: evaluator.evaluate(stack, need_grad=False)[0]  # noqa: E731
+    else:
+        jet = jet_builder(kind)([x])
+        objective = lambda stack: jet.forward(stack)[:, 0, order, 0]  # noqa: E731
+    stack = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
+    stacked = fd_param_gradient(objective, stack, step)
+    assert stacked.shape == stack.shape
+    for weights, grad in zip(stack, stacked):
+        single = fd_param_gradient(objective, NetworkParams(*weights), step)
+        assert grad.tobytes() == single.tobytes()

@@ -1,15 +1,19 @@
 """Unit tests for the finite-difference gradient audit."""
 
+import math
+
 import numpy as np
 import pytest
 
 from blasius_net.gradcheck import (
+    AUDIT_BLOCK,
     GradCheckResult,
     fd_param_gradient,
     gradient_discrepancy,
     run_gradient_checks,
 )
 from blasius_net.network import NetworkJet, NetworkParams, param_gradient
+from blasius_net.problem import LossEvaluator
 
 # [r.max_rel_error for r in run_gradient_checks(draws=3, seed=0)], repr-exact;
 # any rounding change in the audit's draws, jets, evaluator or differences moves one
@@ -28,6 +32,26 @@ AUDIT_FINGERPRINT = [
     9.76533255801404e-10,
     3.498705907628483e-10,
     3.1814519938809294e-10,
+]
+
+# the same at draws=25, seed=0: two full blocks of draws and a remainder,
+# recorded before the audit stacked its blocks
+BLOCKS_DRAWS = 25
+BLOCKS_FINGERPRINT = [
+    1.797718959147428e-09,
+    7.242808330062344e-09,
+    6.698960469263768e-09,
+    7.222779956072353e-09,
+    3.363644915946713e-08,
+    1.824678137270502e-08,
+    1.6301498085645765e-09,
+    5.888763132692993e-09,
+    1.1144504990936193e-09,
+    8.570663447781699e-09,
+    2.011025092172656e-09,
+    1.9503068239286202e-09,
+    5.477980031480317e-08,
+    1.1594482911910304e-08,
 ]
 
 
@@ -82,3 +106,48 @@ def test_run_gradient_checks_rejects_no_draws(draws):
     # an audit of no draws would pass every case without checking anything
     with pytest.raises(ValueError, match="draws must be at least 1"):
         run_gradient_checks(draws=draws)
+
+
+def test_run_gradient_checks_is_bit_exact_across_blocks():
+    assert 2 * AUDIT_BLOCK < BLOCKS_DRAWS < 3 * AUDIT_BLOCK
+    results = run_gradient_checks(draws=BLOCKS_DRAWS, seed=0)
+    assert [r.max_rel_error for r in results] == BLOCKS_FINGERPRINT
+
+
+@pytest.mark.parametrize("draws", [1, AUDIT_BLOCK, 2 * AUDIT_BLOCK + 3])
+def test_no_audit_call_stacks_more_than_one_block(draws, monkeypatch):
+    # a block's own weight sets plus 2 * 3H perturbations of each, never more,
+    # so the audit's memory does not grow with draws
+    hidden = 3
+    stacks = []
+    for owner, method in ((NetworkJet, "forward"), (LossEvaluator, "evaluate")):
+        original = getattr(owner, method)
+
+        def recording(self, theta, *args, _original=original, **kwargs):
+            stacks.append(theta.shape[0])
+            return _original(self, theta, *args, **kwargs)
+
+        monkeypatch.setattr(owner, method, recording)
+    run_gradient_checks(draws=draws, hidden=hidden)
+    assert max(stacks) == min(draws, AUDIT_BLOCK) * (1 + 2 * 3 * hidden)
+
+
+def test_gradient_discrepancy_is_infinite_on_non_finite_input():
+    finite = (np.array([1.0, 2.0]),)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = (np.array([1.0, bad]),)
+        assert gradient_discrepancy(broken, finite) == math.inf
+        assert gradient_discrepancy(finite, broken) == math.inf
+    # stacks of (3, H) gradients reduce the same way
+    stack = np.ones((2, 3, 4))
+    assert gradient_discrepancy(stack, stack) == 0.0
+    holed = stack.copy()
+    holed[1, 2, 3] = np.nan
+    assert gradient_discrepancy(stack, holed) == math.inf
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+def test_run_gradient_checks_rejects_a_bad_step(step):
+    # a zero step made every difference NaN, and the audit reported PASS
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        run_gradient_checks(draws=2, step=step)
