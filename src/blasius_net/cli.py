@@ -105,18 +105,14 @@ def _cmd_solve(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    if args.runs == 1:
-        best = train(cfg)
-        finals = [best.final_loss]
-        diverged = 0
-    else:
-        runs = seed_sweep(cfg, args.runs)
-        best = best_run(runs)
-        if best is None:
-            print(f"error: all {args.runs} seeds diverged", file=sys.stderr)
-            return 1
-        finals = [r.final_loss for r in runs if r is not None]
-        diverged = len(runs) - len(finals)
+    # one seed stays on train, which names the iteration a divergence happened at
+    runs = [train(cfg)] if args.runs == 1 else seed_sweep(cfg, args.runs)
+    best = best_run(runs)
+    if best is None:
+        print(f"error: all {args.runs} seeds diverged", file=sys.stderr)
+        return 1
+    finals = [r.final_loss for r in runs if r is not None]
+    diverged = len(runs) - len(finals)
     print(f"mode={args.mode} hidden={args.hidden} points={args.points} "
           f"domain_end={format_float(args.domain_end)} seed={args.seed} runs={args.runs}")
     if diverged:
@@ -220,7 +216,9 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # CLI boundary: report and signal failure
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -94,11 +94,9 @@ def load_model(path) -> tuple[NetworkParams, TrialSpec]:
 
     end_text = _expect_field(raw[2], 3, "domain_end")
     try:
-        domain_end = float(end_text)
-    except ValueError:
-        raise ModelFormatError(3, f"bad domain_end '{end_text}'") from None
-    if not np.isfinite(domain_end) or domain_end <= 0.0:
-        raise ModelFormatError(3, f"domain_end must be finite and positive, got {end_text}")
+        spec = TrialSpec(mode, float(end_text))
+    except ValueError as exc:
+        raise ModelFormatError(3, f"bad domain_end '{end_text}': {exc}") from None
 
     hidden_text = _expect_field(raw[3], 4, "hidden")
     try:
@@ -114,9 +112,4 @@ def load_model(path) -> tuple[NetworkParams, TrialSpec]:
     for extra, line in enumerate(raw[7:], start=8):
         if line.strip():
             raise ModelFormatError(extra, f"unexpected content after the model: '{line}'")
-    try:
-        spec = TrialSpec(mode, domain_end)
-        params = NetworkParams(v, u, w)
-    except ValueError as exc:
-        raise ModelFormatError(0, str(exc)) from None
-    return params, spec
+    return NetworkParams(v, u, w), spec

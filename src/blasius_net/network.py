@@ -53,18 +53,14 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 3
 
 
-def _row(index: int, doc: str) -> property:
-    return property(lambda self: self.weights[index], doc=doc)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class NetworkParams:
     """Weights of the network: output weights v, hidden biases u, input weights w.
 
     weights holds them as rows 0, 1, 2 of one (3, H) array (H = hidden-unit
-    count); the named attributes are read-only views of those rows.  The
-    vectors are copied and locked on construction; build a new instance to
-    change anything.  Instances compare and hash by identity: an elementwise
+    count), read as weights[0], weights[1] and weights[2].  The vectors are
+    copied and locked on construction; build a new instance to change
+    anything.  Instances compare and hash by identity: an elementwise
     array comparison has no single truth value.
     """
 
@@ -84,33 +80,25 @@ class NetworkParams:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
-    output_weights = _row(0, "v, row 0 of weights")
-    hidden_biases = _row(1, "u, row 1 of weights")
-    input_weights = _row(2, "w, row 2 of weights")
-
     @property
     def hidden_count(self) -> int:
         return int(self.weights.shape[1])
 
 
-def _check_order(order: int, top: int) -> None:
+def _check_order(order: int, top: int, low: int = 0) -> None:
     if not isinstance(order, int) or isinstance(order, bool):
         raise TypeError("order must be an integer")
-    if not 0 <= order <= top:
-        raise ValueError(f"order must be in 0..{top}, got {order}")
+    if not low <= order <= top:
+        raise ValueError(f"order must be in {low}..{top}, got {order}")
 
 
-def _sigmoid_stack(z: np.ndarray, max_order: int, out=None):
+def _sigmoid_stack(z: np.ndarray, max_order: int, out):
     """[sigma, sigma', ..., sigma^(max_order)] elementwise on the array z, max_order in 0..4.
 
     out holds five arrays shaped like z (a (5,) + z.shape array or a sequence
-    of five views; allocated, after max_order is checked, when None); entries
-    0..max_order are written and out is returned.  The tanh form of sigma is
-    overflow-free for any z.
+    of five views); entries 0..max_order are written and out is returned.
+    The tanh form of sigma is overflow-free for any z.
     """
-    if out is None:
-        _check_order(max_order, MAX_DERIVATIVE_ORDER + 1)
-        out = np.empty((MAX_DERIVATIVE_ORDER + 2,) + z.shape)
     mul = np.multiply
     add = np.add
     s, t, g2, g3, g4 = out

@@ -17,7 +17,6 @@ usable as cross-checks for the trained network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from .profiles import SolutionProfile
 
 __all__ = [
-    "SeriesCoefficients",
     "SeriesNotConvergedError",
     "IntegrationError",
     "series_coefficients",
@@ -46,15 +44,8 @@ class IntegrationError(RuntimeError):
     """RK4 state stopped being finite, or its far field did not settle."""
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Integer wall-series coefficients A_0..A_k_max."""
-
-    a: tuple[int, ...]
-
-
-def series_coefficients(k_max: int) -> SeriesCoefficients:
-    """A_0..A_k_max by the exact recurrence, in unbounded integer arithmetic.
+def series_coefficients(k_max: int) -> tuple[int, ...]:
+    """The integer wall-series coefficients A_0..A_k_max, by the exact recurrence.
 
     A_0 = A_1 = 1 and
         A_k = sum_{r=0}^{k-1} C(3k-1, 3r) A_r A_{k-r-1}.
@@ -64,13 +55,12 @@ def series_coefficients(k_max: int) -> SeriesCoefficients:
     a = [1, 1]
     for k in range(2, k_max + 1):
         a.append(sum(math.comb(3 * k - 1, 3 * r) * a[r] * a[k - r - 1] for r in range(k)))
-    return SeriesCoefficients(a=tuple(a[: k_max + 1]))
+    return tuple(a[: k_max + 1])
 
 
 def _series_terms(sigma: float, eta: float, k_max: int) -> list[float]:
-    coeffs = series_coefficients(k_max).a
     terms = []
-    for k, a_k in enumerate(coeffs):
+    for k, a_k in enumerate(series_coefficients(k_max)):
         # exact rational prefactor, converted to float once
         prefactor = float(Fraction((-1) ** k * a_k, 2**k * math.factorial(3 * k + 2)))
         terms.append(prefactor * sigma ** (k + 1) * eta ** (3 * k + 2))

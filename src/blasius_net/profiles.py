@@ -19,6 +19,7 @@ __all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profil
 
 CSV_HEADER = "eta,f,fp,fpp"
 CSV_ROW = "%.17g,%.17g,%.17g,%.17g"  # format_float on each column, one % per row
+JOIN_TOL = 1e-12  # largest |eta difference| at which index_of matches a row
 
 
 def format_float(value: float) -> str:
@@ -69,16 +70,12 @@ class SolutionProfile:
     def rows(self) -> Iterator[tuple[float, float, float, float]]:
         return zip(self.eta.tolist(), self.f.tolist(), self.fp.tolist(), self.fpp.tolist())
 
-    def index_of(self, eta: float, tol: float = 1e-12) -> int:
-        """Index of the row whose abscissa matches eta within tol; raise if absent."""
-        hits = np.nonzero(np.abs(self.eta - eta) <= tol)[0]
+    def index_of(self, eta: float) -> int:
+        """Index of the row whose abscissa matches eta within JOIN_TOL; raise if absent."""
+        hits = np.nonzero(np.abs(self.eta - eta) <= JOIN_TOL)[0]
         if hits.size == 0:
             raise KeyError(f"no profile row at eta = {eta}")
         return int(hits[0])
-
-    def row_at(self, eta: float, tol: float = 1e-12) -> tuple[float, float, float, float]:
-        i = self.index_of(eta, tol)
-        return (float(self.eta[i]), float(self.f[i]), float(self.fp[i]), float(self.fpp[i]))
 
 
 def write_profile_csv(profile: SolutionProfile, destination, comments: dict | None = None) -> None:

@@ -59,11 +59,11 @@ def evaluate_profile(spec: TrialSpec, params: NetworkParams, etas) -> SolutionPr
 
 
 def compare(profile: SolutionProfile, table: ReferenceTable,
-            reference: str | int = -1, join_tol: float = 1e-12) -> list[ComparisonRow]:
+            reference: str | int = -1) -> list[ComparisonRow]:
     """One ComparisonRow per table row, against the chosen reference column.
 
     The default column is the last (most refined) one.  Every table eta must
-    match a profile eta within join_tol, or the join fails listing the
+    match a profile eta within profiles.JOIN_TOL, or the join fails listing the
     missing abscissae.  The profile column is picked by the table's quantity.
     """
     column = table.column(reference)
@@ -72,7 +72,7 @@ def compare(profile: SolutionProfile, table: ReferenceTable,
     indices = []
     for eta in table.etas.tolist():
         try:
-            indices.append(profile.index_of(eta, join_tol))
+            indices.append(profile.index_of(eta))
         except KeyError:
             missing.append(eta)
     if missing:

@@ -24,13 +24,14 @@ __all__ = [
     "ReferenceTable",
     "parse_printed_error",
     "fixtures_dir",
-    "available_table_ids",
+    "TABLE_IDS",
     "load_table",
 ]
 
 FIXTURES_ENV_VAR = "BLASIUS_NET_FIXTURES"
 
 QUANTITIES = ("f", "fp", "fpp")
+TABLE_IDS = tuple(f"T{i}" for i in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,6 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-def available_table_ids() -> tuple[str, ...]:
-    return tuple(f"T{i}" for i in range(1, 9))
-
-
 def _normalize_table_id(table_id: str | int) -> str:
     if isinstance(table_id, int):
         return f"T{table_id}"
@@ -128,8 +125,8 @@ def _normalize_table_id(table_id: str | int) -> str:
 def load_table(table_id: str | int) -> ReferenceTable:
     """Load one bundled table ("T1".."T8", or the bare number)."""
     tid = _normalize_table_id(table_id)
-    if tid not in available_table_ids():
-        raise ValueError(f"unknown table id {table_id!r}; expected one of {available_table_ids()}")
+    if tid not in TABLE_IDS:
+        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
     path = fixtures_dir() / f"table{tid[1:]}.json"
     if not path.exists():
         raise FileNotFoundError(f"fixture file {path} not found")

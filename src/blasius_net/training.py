@@ -31,6 +31,7 @@ from .trial import TrialMode, TrialSpec
 
 __all__ = [
     "MOMENTUM_COEFF",
+    "INIT_SCALE",
     "XorShift64Star",
     "TrainingConfig",
     "TrainingRun",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 MOMENTUM_COEFF = 0.9
+INIT_SCALE = 0.5  # initial weights are uniform in [-INIT_SCALE, INIT_SCALE)
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,7 +126,6 @@ class TrainingConfig:
     max_iterations: int = 50000
     loss_target: float = 1e-8
     seed: int = 0
-    init_scale: float = 0.5
 
     def __post_init__(self):
         if self.hidden_count < 1:
@@ -137,8 +138,6 @@ class TrainingConfig:
             raise ValueError("max_iterations must be at least 1")
         if not np.isfinite(self.loss_target) or self.loss_target < 0.0:
             raise ValueError("loss_target must be finite and non-negative")
-        if not np.isfinite(self.init_scale) or self.init_scale <= 0.0:
-            raise ValueError("init_scale must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         grid = self.grid
@@ -169,8 +168,7 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     """
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
-    theta = np.array([init_params(seed, cfg.hidden_count, cfg.init_scale).weights
-                      for seed in seeds])
+    theta = np.array([init_params(seed, cfg.hidden_count, INIT_SCALE).weights for seed in seeds])
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
     rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])

@@ -5,7 +5,7 @@ y'(0) = 0 hold identically, whatever the network does.  Two families:
 
 * ``paper``:   A = x^3 + x^2,  F = x^2 (x - 6)^2.  The envelope vanishes (with
   its first derivative) at both x = 0 and x = 6, so y(6) = 252 is pinned no
-  matter the parameters.  The node stays at 6 even if the domain end differs.
+  matter the parameters.  The node is the domain end: L must be 6.
 * ``penalty``: A = 0,  F = x^2.  Nothing pins the far end; the far-field slope
   is enforced by a penalty term in the training loss instead.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkJet, NetworkParams
+from .network import NetworkJet, NetworkParams, _check_order
 
 __all__ = [
     "TrialMode",
@@ -50,7 +50,7 @@ class TrialMode(enum.Enum):
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """Trial family plus the right end L of the collocation domain [0, L]."""
+    """Trial family plus the right end L of the domain [0, L]; paper mode needs L = 6."""
 
     mode: TrialMode
     domain_end: float = 6.0
@@ -61,6 +61,9 @@ class TrialSpec:
         end = float(self.domain_end)
         if not np.isfinite(end) or end <= 0.0:
             raise ValueError("domain_end must be finite and positive")
+        if self.mode is TrialMode.PAPER and end != PAPER_NODE:
+            raise ValueError(f"paper mode needs domain_end = {PAPER_NODE}, the node of its "
+                             f"envelope; got {end}")
         object.__setattr__(self, "domain_end", end)
 
 
@@ -119,8 +122,7 @@ def trial_value(spec: TrialSpec, params: NetworkParams, x: float) -> float:
 
 def trial_derivative(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> float:
     """k-th derivative of the trial solution at x, for k in 1..3 (Leibniz on F N)."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be in 1..3, got {order}")
+    _check_order(order, 3, 1)
     return float(trial_jet(spec, [x]).values(params)[0, order])
 
 
@@ -130,6 +132,5 @@ def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order
     The offset A drops out; each Leibniz term contributes F^(j) times the
     parameter gradient of the matching network derivative.
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be in 0..3, got {order}")
+    _check_order(order, 3)
     return trial_jet(spec, [x], (order,)).gradient(params)

@@ -39,13 +39,9 @@ def random_params(rng, hidden, scale=1.0):
 
 def perturb(params, group, index, delta):
     """Copy of params with one entry shifted; group 0/1/2 = v/u/w."""
-    arrays = [
-        params.output_weights.copy(),
-        params.hidden_biases.copy(),
-        params.input_weights.copy(),
-    ]
-    arrays[group][index] += delta
-    return NetworkParams(*arrays)
+    weights = params.weights.copy()
+    weights[group, index] += delta
+    return NetworkParams(*weights)
 
 
 def fd_param_entry(fn, params, group, index, step=1e-6):
@@ -86,15 +82,13 @@ def ref_sigmoid(z, order):
 def ref_input_derivative(params, x, order):
     """d^k N / dx^k at x as a per-unit sum of v w^k sigma^(k)(w x + u)."""
     return sum(v * w**order * ref_sigmoid(w * x + u, order)
-               for v, u, w in zip(params.output_weights.tolist(), params.hidden_biases.tolist(),
-                                  params.input_weights.tolist()))
+               for v, u, w in zip(*params.weights.tolist()))
 
 
 def ref_param_gradient(params, x, order):
     """(v, u, w) gradient of d^k N / dx^k at x, unit by unit."""
     d_v, d_u, d_w = [], [], []
-    for v, u, w in zip(params.output_weights.tolist(), params.hidden_biases.tolist(),
-                       params.input_weights.tolist()):
+    for v, u, w in zip(*params.weights.tolist()):
         sk = ref_sigmoid(w * x + u, order)
         sk1 = ref_sigmoid(w * x + u, order + 1)
         slope = order * w ** (order - 1) * sk if order else 0.0

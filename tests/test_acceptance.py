@@ -64,11 +64,11 @@ def test_series_oracle_agrees_with_rk4(timed_shoot):
     worst = 0.0
     for eta in np.arange(0.2, 2.01, 0.2):
         eta = round(float(eta), 10)
-        worst = max(worst, abs(series_eval(sigma, eta, 25) - profile.row_at(eta)[1]))
+        worst = max(worst, abs(series_eval(sigma, eta, 25) - profile.f[profile.index_of(eta)]))
     elapsed = time.perf_counter() - start
-    ok = coeffs.a[2] == 11 and coeffs.a[3] == 375 and worst <= 1e-6 and elapsed < 1.0
+    ok = coeffs[2] == 11 and coeffs[3] == 375 and worst <= 1e-6 and elapsed < 1.0
     verdict("series vs rk4", ok,
-            f"a2={coeffs.a[2]} a3={coeffs.a[3]} max|diff|={worst:.2e} (tol 1e-6) "
+            f"a2={coeffs[2]} a3={coeffs[3]} max|diff|={worst:.2e} (tol 1e-6) "
             f"in {elapsed:.2f}s (limit 1s)")
 
 
@@ -113,8 +113,9 @@ def test_default_training_beats_error_budget(timed_shoot, default_sweep):
     oracle = rk4_profile(sigma, 6.0, step=1e-3)
     spec = TrainingConfig().trial
     ours = evaluate_profile(spec, best.final_params, etas)
-    err_f = max(relative_error(ours.f[i], oracle.row_at(float(e))[1]) for i, e in enumerate(etas))
-    err_fp = max(relative_error(ours.fp[i], oracle.row_at(float(e))[2]) for i, e in enumerate(etas))
+    rows = [oracle.index_of(float(eta)) for eta in etas]
+    err_f = max(relative_error(ours.f[i], oracle.f[row]) for i, row in enumerate(rows))
+    err_fp = max(relative_error(ours.fp[i], oracle.fp[row]) for i, row in enumerate(rows))
     ok = err_f <= 1e-2 and err_fp <= 2e-2 and elapsed < 120.0
     verdict("default training", ok,
             f"20 seeds ({diverged} diverged), best loss {best.final_loss:.2e}, "

@@ -113,7 +113,8 @@ def as_params(flat):
 def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, mode, step):
     params = as_params(flat)
     jet = NetworkJet.bare([x]) if mode is None else trial_jet(TrialSpec(mode, 6.0), [x])
-    stacked = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order, 0], params, step)
+    (stacked,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order, 0],
+                                   params.weights[None], step)
     single = per_perturbation_gradient(lambda p: jet.values(p)[0, order], params, step)
     assert stacked.tobytes() == single.tobytes()
 
@@ -123,8 +124,8 @@ def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, m
 def test_fd_loss_gradient_equals_per_perturbation_differences(flat, mode):
     params = as_params(flat)
     evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(10, 6.0))
-    stacked = fd_param_gradient(lambda stack: evaluator.evaluate(stack, need_grad=False)[0],
-                                params)
+    (stacked,) = fd_param_gradient(lambda stack: evaluator.evaluate(stack, need_grad=False)[0],
+                                   params.weights[None])
     single = per_perturbation_gradient(lambda p: evaluator.report(p).total, params, 1e-6)
     assert stacked.tobytes() == single.tobytes()
 
@@ -199,5 +200,5 @@ def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x
     stacked = fd_param_gradient(objective, stack, step)
     assert stacked.shape == stack.shape
     for weights, grad in zip(stack, stacked):
-        single = fd_param_gradient(objective, NetworkParams(*weights), step)
+        (single,) = fd_param_gradient(objective, weights[None], step)
         assert grad.tobytes() == single.tobytes()

@@ -75,20 +75,33 @@ def test_solve_reports_diverged_seeds(capsys):
 
 
 def test_solve_all_seeds_diverged(capsys):
-    args = ["solve", "--iterations", "1500", "--runs", "2",
-            "--lr-v", "5e-3", "--lr-u", "5e-3", "--lr-w", "5e-3"]
-    code = run_cli(args)
+    args = ["solve", "--iterations", "1500", "--lr-v", "5e-3", "--lr-u", "5e-3", "--lr-w", "5e-3"]
+    code = run_cli(args + ["--runs", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert "all 2 seeds diverged" in captured.err
+    # one seed runs through train, which names the iteration its loss blew up at
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: training loss became non-finite at iteration 5\n"
 
 
-def test_solve_paper_mode(tmp_path):
+def test_solve_paper_mode(tmp_path, capsys):
     path = tmp_path / "paper.txt"
     code = run_cli(["solve", "--mode", "paper", "--iterations", "50", "--out", str(path)])
     assert code == 0
     _, spec = load_model(path)
     assert spec.mode.value == "paper"
+    capsys.readouterr()
+    # the paper envelope's node is 6, so no other domain end makes a valid trial
+    code = run_cli(["solve", "--mode", "paper", "--domain-end", "8", "--iterations", "50"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: paper mode needs domain_end = 6.0, the node of its envelope; "
+                            "got 8.0\n")
 
 
 def test_oracle_writes_profile(tmp_path, capsys):
@@ -152,7 +165,9 @@ def test_compare_column_selection(quick_model, capsys):
     assert run_cli(["compare", "--model", str(quick_model), "--table", "T1",
                     "--column", "bogus"]) == 1
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    # the message itself, not the repr that str() of a KeyError gives
+    assert captured.err.splitlines()[-1] == (
+        "error: table T1 has no column 'bogus' (have: howarth, sinc_collocation)")
 
 
 def test_compare_unknown_table(quick_model, capsys):

@@ -27,9 +27,7 @@ def test_round_trip_is_bit_exact(saved):
     params, spec, path = saved
     loaded_params, loaded_spec = load_model(path)
     assert loaded_spec == spec
-    assert np.array_equal(loaded_params.output_weights, params.output_weights)
-    assert np.array_equal(loaded_params.hidden_biases, params.hidden_biases)
-    assert np.array_equal(loaded_params.input_weights, params.input_weights)
+    assert np.array_equal(loaded_params.weights, params.weights)
 
 
 def test_round_trip_paper_mode(tmp_path):
@@ -39,7 +37,12 @@ def test_round_trip_paper_mode(tmp_path):
     save_model(params, spec, path)
     loaded_params, loaded_spec = load_model(path)
     assert loaded_spec.mode is TrialMode.PAPER
-    assert np.array_equal(loaded_params.input_weights, params.input_weights)
+    assert np.array_equal(loaded_params.weights, params.weights)
+    # a paper-mode file whose domain does not end at the envelope's node is malformed
+    bad = corrupt(tmp_path / "bad.txt", path, lambda L: L.__setitem__(2, "domain_end=8"))
+    with pytest.raises(ModelFormatError, match="paper mode needs domain_end") as excinfo:
+        load_model(bad)
+    assert excinfo.value.line_number == 3
 
 
 def test_file_layout(saved):

@@ -23,9 +23,9 @@ def sigma():
 
 def test_series_coefficients_exact_integers():
     coeffs = series_coefficients(5)
-    assert coeffs.a == (1, 1, 11, 375, 27897, 3817137)
-    assert all(isinstance(value, int) for value in coeffs.a)
-    assert series_coefficients(1).a == (1, 1)
+    assert coeffs == (1, 1, 11, 375, 27897, 3817137)
+    assert all(isinstance(value, int) for value in coeffs)
+    assert series_coefficients(1) == (1, 1)
 
 
 def test_series_coefficients_validation():
@@ -37,7 +37,7 @@ def test_series_recurrence_consistency():
     # each coefficient must satisfy the convolution that generated it
     from math import comb
 
-    a = series_coefficients(8).a
+    a = series_coefficients(8)
     for k in range(1, 9):
         total = sum(comb(3 * k - 1, 3 * r) * a[r] * a[k - 1 - r] for r in range(k))
         assert a[k] == total
@@ -59,7 +59,7 @@ def test_series_agrees_with_rk4(sigma):
     for eta in np.arange(0.2, 2.01, 0.2):
         eta = round(float(eta), 10)
         from_series = series_eval(sigma, eta, 25)
-        from_rk4 = profile.row_at(eta)[1]
+        from_rk4 = profile.f[profile.index_of(eta)]
         assert abs(from_series - from_rk4) <= 1e-6
 
 
@@ -92,12 +92,12 @@ def test_rk4_initial_conditions_and_grid():
 
 def test_rk4_published_spot_value():
     profile = rk4_profile(0.332056697, 5.0, step=1e-3)
-    assert abs(profile.row_at(5.0)[1] - 3.283267477016) <= 1e-5
+    assert abs(profile.f[profile.index_of(5.0)] - 3.283267477016) <= 1e-5
 
 
 def test_rk4_step_halving_agreement():
-    coarse = rk4_profile(SIGMA_REF, 5.0, step=2e-3).row_at(5.0)[1]
-    fine = rk4_profile(SIGMA_REF, 5.0, step=1e-3).row_at(5.0)[1]
+    # each profile's last row is eta = 5
+    coarse, fine = (rk4_profile(SIGMA_REF, 5.0, step=step).f[-1] for step in (2e-3, 1e-3))
     assert abs(coarse - fine) <= 1e-10
 
 
@@ -110,7 +110,7 @@ def test_rk4_zero_curvature_stays_at_rest():
 
 def test_rk4_far_field_slope_approaches_one(sigma):
     profile = rk4_profile(sigma, 10.0, step=1e-3)
-    assert abs(profile.row_at(10.0)[2] - 1.0) <= 1e-6
+    assert abs(profile.fp[profile.index_of(10.0)] - 1.0) <= 1e-6
 
 
 def test_rk4_validation():
@@ -173,4 +173,4 @@ def test_rk4_against_scipy_integrator(sigma):
     ours = rk4_profile(sigma, 5.0, step=1e-3)
     for eta in (1.0, 2.5, 5.0):
         reference = solution.sol(eta)[0]
-        assert abs(ours.row_at(eta)[1] - reference) <= 1e-8
+        assert abs(ours.f[ours.index_of(eta)] - reference) <= 1e-8

@@ -37,7 +37,7 @@ def test_profile_rows_and_lookup():
     assert listed[1] == (0.5, 0.25, 1.0, 2.0)
     assert profile.index_of(0.5) == 1
     assert profile.index_of(0.5 + 1e-13) == 1
-    assert profile.row_at(1.0) == (1.0, 1.0, 2.0, 2.0)
+    assert listed[profile.index_of(1.0)] == (1.0, 1.0, 2.0, 2.0)
     with pytest.raises(KeyError):
         profile.index_of(0.25)
 

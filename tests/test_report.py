@@ -96,7 +96,7 @@ def test_oracle_matches_classical_columns(oracle_profile):
     # any digit slip in a fixture would show up here
     t1 = load_table("T1").column("howarth")
     worst = max(
-        abs(oracle_profile.row_at(float(eta))[1] - ref)
+        abs(oracle_profile.f[oracle_profile.index_of(float(eta))] - ref)
         for eta, ref in zip(load_table("T1").etas, t1.values)
     )
     assert worst <= 1e-5
@@ -109,9 +109,9 @@ def test_oracle_matches_classical_columns(oracle_profile):
         ("T7", "diff_transform", 5e-6),
     ):
         table = load_table(table_id)
-        index = {"f": 1, "fp": 2, "fpp": 3}[table.quantity]
+        column = getattr(oracle_profile, table.quantity)
         worst = max(
-            relative_error(oracle_profile.row_at(float(eta))[index], float(ref))
+            relative_error(column[oracle_profile.index_of(float(eta))], float(ref))
             for eta, ref in zip(table.etas, table.column(label).values)
         )
         assert worst <= tol, f"{table_id}/{label}: {worst}"
@@ -119,7 +119,7 @@ def test_oracle_matches_classical_columns(oracle_profile):
     # far-field curvature is tiny, so compare absolutely there
     t8 = load_table("T8")
     worst = max(
-        abs(oracle_profile.row_at(float(eta))[3] - ref)
+        abs(oracle_profile.fpp[oracle_profile.index_of(float(eta))] - ref)
         for eta, ref in zip(t8.etas, t8.column("diff_transform").values)
     )
     assert worst <= 1e-6
@@ -131,4 +131,4 @@ def test_oracle_matches_far_field_rows():
     column = t5.column("pade_numerical")
     for eta, ref in zip(t5.etas, column.values):
         if eta >= 10.0:
-            assert abs(profile.row_at(float(eta))[1] - ref) <= 5e-5
+            assert abs(profile.f[profile.index_of(float(eta))] - ref) <= 5e-5

@@ -1,15 +1,22 @@
-"""The package's public surface: what the benchmark's tracer patches, and each __all__."""
+"""The package's public surface: what the benchmark calls or patches, and each __all__."""
 
 import importlib
 import importlib.util
+import math
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import blasius_net
+from blasius_net import cli
+from blasius_net.model_io import load_model
+from blasius_net.oracles import rk4_profile, shoot
+from blasius_net.problem import CollocationGrid, loss
+from blasius_net.report import evaluate_profile
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(blasius_net.__path__))
 
 
@@ -38,3 +45,18 @@ def test_every_exported_name_exists(module_name):
     module = importlib.import_module(f"blasius_net.{module_name}")
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
+
+
+def test_benchmark_direct_calls_keep_their_forms(tmp_path):
+    # perfbench/bench.py calls these outside the tracer's targets, in these forms
+    model = PERFBENCH / "validate_model.txt"
+    params, spec = load_model(model)
+    assert math.isfinite(loss(spec, params, CollocationGrid.equidistant(10, 6.0)).total)
+    etas = tuple(0.5 * k for k in range(1, 13))
+    assert len(evaluate_profile(spec, params, (0.0,) + etas)) == 1 + len(etas)
+    oracle = rk4_profile(shoot(), 6.0, 1e-3)
+    assert all(abs(oracle.eta[oracle.index_of(eta)] - eta) <= 1e-12 for eta in etas)
+    out = tmp_path / "profile.csv"
+    argv = ["profile", "--model", str(model), "--points", "11", "--out", str(out)]
+    assert cli.run_cli(argv) == 0
+    assert out.read_text().startswith("eta,f,fp,fpp\n")

@@ -8,7 +8,7 @@ import pytest
 from blasius_net.report import relative_error
 from blasius_net.tables import (
     FIXTURES_ENV_VAR,
-    available_table_ids,
+    TABLE_IDS,
     fixtures_dir,
     load_table,
     parse_printed_error,
@@ -20,11 +20,11 @@ EXPECTED_QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",
 
 
 def test_available_ids():
-    assert available_table_ids() == ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
+    assert TABLE_IDS == ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 
 
 def test_table_shapes_and_quantities():
-    for table_id in available_table_ids():
+    for table_id in TABLE_IDS:
         table = load_table(table_id)
         assert table.table_id == table_id
         assert table.quantity == EXPECTED_QUANTITY[table_id]
@@ -108,7 +108,7 @@ def test_printed_errors_match_recomputation():
     # every printed mismatch column must be reproducible from the two value
     # columns it compares, to within one unit in its last printed digit
     checked = mismatched = 0
-    for table_id in available_table_ids():
+    for table_id in TABLE_IDS:
         table = load_table(table_id)
         for column in table.references:
             for own, ref, printed in zip(table.own_values, column.values, column.printed_errors):

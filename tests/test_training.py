@@ -7,6 +7,7 @@ import pytest
 
 from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.training import (
+    INIT_SCALE,
     MOMENTUM_COEFF,
     AllRunsDivergedError,
     TrainingConfig,
@@ -93,24 +94,19 @@ def test_xorshift_uniform_range_and_scaling():
 def test_init_params_deterministic_and_in_range():
     first = init_params(0, 5, 0.5)
     second = init_params(0, 5, 0.5)
-    for left, right in zip(
-        (first.output_weights, first.hidden_biases, first.input_weights),
-        (second.output_weights, second.hidden_biases, second.input_weights),
-    ):
+    for left, right in zip(first.weights, second.weights):
         assert np.array_equal(left, right)
         assert left.shape == (5,)
         assert np.all(left >= -0.5) and np.all(left < 0.5)
     other = init_params(1, 5, 0.5)
-    assert not np.array_equal(first.output_weights, other.output_weights)
+    assert not np.array_equal(first.weights[0], other.weights[0])
 
 
 def test_init_params_draw_order_v_u_w():
     rng = XorShift64Star(11)
     draws = [rng.uniform(-0.25, 0.25) for _ in range(9)]
     params = init_params(11, 3, 0.25)
-    assert list(params.output_weights) == draws[0:3]
-    assert list(params.hidden_biases) == draws[3:6]
-    assert list(params.input_weights) == draws[6:9]
+    assert params.weights.tolist() == [draws[0:3], draws[3:6], draws[6:9]]
 
 
 def test_init_params_validation():
@@ -130,6 +126,7 @@ def test_config_defaults_and_grid_fill_in():
     assert cfg.penalty_weight == 10.0
     assert cfg.max_iterations == 50000
     assert cfg.loss_target == 1e-8
+    assert INIT_SCALE == 0.5
     assert np.allclose(cfg.grid.points, np.linspace(0.0, 6.0, 10))
 
 
@@ -144,8 +141,6 @@ def test_config_validation():
         TrainingConfig(max_iterations=0)
     with pytest.raises(ValueError):
         TrainingConfig(loss_target=-1.0)
-    with pytest.raises(ValueError):
-        TrainingConfig(init_scale=0.0)
     with pytest.raises(ValueError):
         TrainingConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -163,7 +158,7 @@ def test_train_single_iteration_bookkeeping():
 def test_train_replays_momentum_update():
     cfg = TrainingConfig(max_iterations=3)
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
-    start = init_params(cfg.seed, cfg.hidden_count, cfg.init_scale)
+    start = init_params(cfg.seed, cfg.hidden_count, INIT_SCALE)
     params = list(start.weights)
     rates = (cfg.lr_v, cfg.lr_u, cfg.lr_w)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
@@ -172,9 +167,7 @@ def test_train_replays_momentum_update():
         velocity = [MOMENTUM_COEFF * vel + lr * g for vel, lr, g in zip(velocity, rates, grads)]
         params = [p - vel for p, vel in zip(params, velocity)]
     run = train(cfg)
-    assert np.array_equal(run.final_params.output_weights, params[0])
-    assert np.array_equal(run.final_params.hidden_biases, params[1])
-    assert np.array_equal(run.final_params.input_weights, params[2])
+    assert np.array_equal(run.final_params.weights, params)
     # the loop's last loss is the loss a fresh evaluation of the final params gives
     assert run.final_loss == evaluator.report(run.final_params).total
 
@@ -198,9 +191,7 @@ def test_train_is_bitwise_deterministic():
     second = train(cfg)
     assert first.loss_history == second.loss_history
     assert first.final_loss == second.final_loss
-    assert np.array_equal(first.final_params.output_weights, second.final_params.output_weights)
-    assert np.array_equal(first.final_params.hidden_biases, second.final_params.hidden_biases)
-    assert np.array_equal(first.final_params.input_weights, second.final_params.input_weights)
+    assert np.array_equal(first.final_params.weights, second.final_params.weights)
 
 
 def test_train_reduces_default_loss():
@@ -238,7 +229,7 @@ def test_multi_run_picks_best_survivor():
     best = multi_run(cfg, 3)
     seed1 = train(dataclasses.replace(cfg, seed=1))
     assert best.final_loss == seed1.final_loss
-    assert np.array_equal(best.final_params.output_weights, seed1.final_params.output_weights)
+    assert np.array_equal(best.final_params.weights[0], seed1.final_params.weights[0])
 
 
 def test_best_run_prefers_lowest_loss_then_lower_seed():

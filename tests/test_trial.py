@@ -32,6 +32,11 @@ def test_trial_spec_validation():
         TrialSpec(TrialMode.PAPER, 0.0)
     with pytest.raises(ValueError):
         TrialSpec(TrialMode.PENALTY, -1.0)
+    # the paper envelope vanishes at its node, so the domain must end there
+    for end in (8.0, 5.5):
+        with pytest.raises(ValueError, match=f"domain_end = 6.0, .*got {end}"):
+            TrialSpec(TrialMode.PAPER, end)
+    assert TrialSpec(TrialMode.PENALTY, 8.0).domain_end == 8.0
     assert TrialSpec(TrialMode.PENALTY).domain_end == 6.0
 
 
@@ -152,3 +157,9 @@ def test_domain_and_order_validation():
         trial_derivative(PAPER, params, 1.0, 4)
     with pytest.raises(ValueError):
         trial_param_gradient(PAPER, params, 1.0, 4)
+    # orders must be integers, as for the network's own derivatives
+    for order in (True, 2.0):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            trial_derivative(PAPER, params, 1.0, order)
+    with pytest.raises(TypeError, match="order must be an integer"):
+        trial_param_gradient(PAPER, params, 1.0, 1.0)
