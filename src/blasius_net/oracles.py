@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TAIL_TOLERANCE = 1e-9  # truncation gate: |last term| vs |partial sum|
+RK4_CHUNK = 1024  # RK4 steps buffered in lists, then stored and checked at once
 
 
 class SeriesNotConvergedError(RuntimeError):
@@ -111,40 +112,46 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
     has_tail = remainder > 1e-12 * max(1.0, eta_max)
     count = n_full + 1 + (1 if has_tail else 0)
 
-    eta = np.empty(count)
+    eta = np.arange(count) * step
+    if has_tail:
+        eta[-1] = eta_max
     f_col = np.empty(count)
     fp_col = np.empty(count)
     fpp_col = np.empty(count)
     f, g, h = 0.0, 0.0, sigma0
-    eta[0], f_col[0], fp_col[0], fpp_col[0] = 0.0, f, g, h
-    idx = 1
-    step_sizes = [step] * n_full + ([remainder] if has_tail else [])
-    for i, dt in enumerate(step_sizes):
-        f, g, h = _rk4_step(f, g, h, dt)
-        if not math.isfinite(f + g + h):
-            raise IntegrationError(f"state non-finite near eta = {idx * step}")
-        eta[idx] = (i + 1) * step if idx <= n_full else eta_max
-        f_col[idx], fp_col[idx], fpp_col[idx] = f, g, h
-        idx += 1
+    f_col[0], fp_col[0], fpp_col[0] = f, g, h
+    # rows [start, stop) advanced by one step size dt: full-step chunks, then the tail
+    blocks = [(row, min(row + RK4_CHUNK, n_full + 1), step)
+              for row in range(1, n_full + 1, RK4_CHUNK)]
+    if has_tail:
+        blocks.append((count - 1, count, remainder))
+    for start, stop, dt in blocks:
+        half, sixth = 0.5 * dt, dt / 6.0
+        fs, gs, hs = [], [], []
+        for _ in range(start, stop):
+            # y' = (g, h, -f h / 2), classical four-stage step
+            k1 = -0.5 * f * h
+            f2, g2, h2 = f + half * g, g + half * h, h + half * k1
+            k2 = -0.5 * f2 * h2
+            f3, g3, h3 = f + half * g2, g + half * h2, h + half * k2
+            k3 = -0.5 * f3 * h3
+            f4, g4, h4 = f + dt * g3, g + dt * h3, h + dt * k3
+            k4 = -0.5 * f4 * h4
+            f, g, h = (f + sixth * (g + 2.0 * g2 + 2.0 * g3 + g4),
+                       g + sixth * (h + 2.0 * h2 + 2.0 * h3 + h4),
+                       h + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            fs.append(f)
+            gs.append(g)
+            hs.append(h)
+        f_col[start:stop] = fs
+        fp_col[start:stop] = gs
+        fpp_col[start:stop] = hs
+        finite = (np.isfinite(f_col[start:stop]) & np.isfinite(fp_col[start:stop])
+                  & np.isfinite(fpp_col[start:stop]))
+        if not finite.all():
+            bad_row = start + int(np.argmin(finite))
+            raise IntegrationError(f"state non-finite near eta = {bad_row * step}")
     return SolutionProfile(eta=eta, f=f_col, fp=fp_col, fpp=fpp_col)
-
-
-def _rk4_step(f: float, g: float, h: float, dt: float) -> tuple[float, float, float]:
-    # y' = (g, h, -f h / 2), classical four-stage step
-    half = 0.5 * dt
-    k1f, k1g, k1h = g, h, -0.5 * f * h
-    f2, g2, h2 = f + half * k1f, g + half * k1g, h + half * k1h
-    k2f, k2g, k2h = g2, h2, -0.5 * f2 * h2
-    f3, g3, h3 = f + half * k2f, g + half * k2g, h + half * k2h
-    k3f, k3g, k3h = g3, h3, -0.5 * f3 * h3
-    f4, g4, h4 = f + dt * k3f, g + dt * k3g, h + dt * k3h
-    k4f, k4g, k4h = g4, h4, -0.5 * f4 * h4
-    sixth = dt / 6.0
-    return (
-        f + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-        g + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g),
-        h + sixth * (k1h + 2.0 * k2h + 2.0 * k3h + k4h),
-    )
 
 
 def _far_slope(sigma0: float, eta_far: float, step: float, tol: float) -> float:

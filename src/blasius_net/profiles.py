@@ -88,7 +88,7 @@ def write_profile_csv(profile: SolutionProfile, destination, comments: dict | No
     for key, value in (comments or {}).items():
         lines.append(f"# {key} = {value}")
     lines.append(CSV_HEADER)
-    lines.extend(CSV_ROW % row for row in profile.rows())
+    lines.extend(map(CSV_ROW.__mod__, profile.rows()))
     text = "\n".join(lines) + "\n"
     if isinstance(destination, (str, Path)):
         atomic_write_text(destination, text)

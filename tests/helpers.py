@@ -19,8 +19,9 @@ from blasius_net.network import NetworkParams
 from blasius_net.profiles import CSV_HEADER, SolutionProfile
 from blasius_net.trial import envelope_terms, offset_terms
 
-# classical tabulated wall curvature f''(0) of the Blasius profile
-SIGMA_REF = 0.332056697280
+# wall curvature f''(0) of the Blasius profile: Boyd, "The Blasius function
+# in the complex plane", Exp. Math. 1999
+SIGMA_REF = 0.332057336215196
 
 
 def central_diff(fn, x, step=1e-5):

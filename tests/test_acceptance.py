@@ -51,9 +51,9 @@ def default_sweep():
 def test_shooting_oracle_accuracy(timed_shoot):
     sigma, elapsed = timed_shoot
     error = abs(sigma - SIGMA_REF)
-    ok = error <= 5e-6 and elapsed < 5.0
+    ok = error <= 1e-11 and elapsed < 5.0
     verdict("shooting oracle", ok,
-            f"sigma={sigma:.12f} |err|={error:.2e} (tol 5e-6) in {elapsed:.2f}s (limit 5s)")
+            f"sigma={sigma:.12f} |err|={error:.2e} (tol 1e-11) in {elapsed:.2f}s (limit 5s)")
 
 
 def test_series_oracle_agrees_with_rk4(timed_shoot):

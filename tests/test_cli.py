@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_oracle_writes_profile(tmp_path, capsys):
     assert np.array_equal(profile.eta, expected.eta)
     assert np.array_equal(profile.f, expected.f)
     assert "# sigma = " in out.read_text()
+
+
+def test_oracle_default_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "oracle.csv"
+    assert run_cli(["oracle", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2e0059982b9d81014588eead26b673b626320d4874c5484c580a0d980af97afd"
 
 
 def test_oracle_stdout(capsys):

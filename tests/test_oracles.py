@@ -1,5 +1,8 @@
 """Unit tests for the classical oracles: power series, RK4 marching, shooting."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,19 @@ def test_series_tail_gate(sigma):
     assert series_tail_estimate(sigma, 2.0, 25) <= 1e-30
 
 
+def test_series_gate_respects_the_convergence_radius(sigma):
+    # the wall series converges for |eta| below ~5.69 at sigma ~ 0.332 (Boyd,
+    # "The Blasius function in the complex plane", Exp. Math. 1999): outside,
+    # the last term grows with k_max; inside, it shrinks
+    outside = [series_tail_estimate(sigma, 5.8, k_max) for k_max in (25, 60, 120)]
+    inside = [series_tail_estimate(sigma, 5.5, k_max) for k_max in (25, 60, 120)]
+    assert outside == pytest.approx([13.8, 103.0, 3.23e3], rel=1e-2)
+    assert inside == pytest.approx([0.232, 6.53e-3, 1.44e-5], rel=1e-2)
+    for k_max in (25, 60, 120):
+        with pytest.raises(SeriesNotConvergedError):
+            series_eval(sigma, 5.8, k_max)
+
+
 def test_series_validation(sigma):
     with pytest.raises(ValueError):
         series_eval(sigma, -0.1, 10)
@@ -124,17 +140,38 @@ def test_rk4_validation():
         rk4_profile(np.inf, 1.0)
 
 
+@pytest.mark.parametrize("sigma0, eta_max, step, digest", [
+    (None, 10.0, 1e-3, "a690db219bb0049c7c5a2541210b7377a4132224d78134fecebe13dd15307815"),
+    # 12 rows, the last a short tail step
+    (0.33, 7.3, 0.7, "d362e954983ebc86028a9066b069d217466ff27d89fbe1407580b132bef993d5"),
+    (1.0, 9.9999, 1e-3, "ff8e7a10ecfebbc26cf07d53a562bb5fd582c53cfd28636065b66383738843f1"),
+], ids=["shoot", "short-tail", "unit-curvature"])
+def test_rk4_profile_bits_are_pinned(sigma, sigma0, eta_max, step, digest):
+    # any reordered operation in the RK4 loop moves these digests
+    profile = rk4_profile(sigma if sigma0 is None else sigma0, eta_max, step)
+    columns = (profile.eta, profile.f, profile.fp, profile.fpp)
+    assert hashlib.sha256(b"".join(col.tobytes() for col in columns)).hexdigest() == digest
+
+
 def test_rk4_blowup_raises():
-    with pytest.raises(IntegrationError):
-        rk4_profile(1e160, 2.0, step=0.1)
+    cases = [
+        ((1e160, 2.0, 0.1), "state non-finite near eta = 0.1"),
+        # row 1318, past the first block of stored steps
+        ((2e5, 10.0, 1e-3), "state non-finite near eta = 1.318"),
+    ]
+    for args, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as excinfo:
+                rk4_profile(*args)
+        assert str(excinfo.value) == message
 
 
 def test_shoot_matches_reference(sigma):
-    assert abs(sigma - SIGMA_REF) <= 5e-6
+    assert abs(sigma - SIGMA_REF) <= 1e-11
     # one fixed-step RK4 run and a power: fully deterministic
     assert abs(sigma - 0.3320573372067884) <= 1e-9
     assert shoot() == sigma
-    # Boyd, "The Blasius function in the complex plane", Exp. Math. 1999
     assert abs(sigma - 0.332057336215196) <= 1e-12
     # RK4's h^4 error at a ten times coarser step stays below 1e-11
     assert abs(shoot(step=1e-2) - sigma) <= 1e-11
