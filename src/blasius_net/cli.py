@@ -120,7 +120,7 @@ def _cmd_solve(args) -> int:
     print(f"final loss: best={best.final_loss:.6e} mean={np.mean(finals):.6e} "
           f"min={np.min(finals):.6e} max={np.max(finals):.6e}")
     print(f"best run: iterations={best.iterations_used} "
-          f"initial_loss={best.loss_history[0]:.6e}")
+          f"initial_loss={best.initial_loss:.6e}")
     if args.out:
         save_model(best.final_params, spec, args.out)
         print(f"model written: {args.out}")

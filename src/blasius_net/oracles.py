@@ -60,23 +60,29 @@ def series_coefficients(k_max: int) -> tuple[int, ...]:
 
 
 def _series_terms(sigma: float, eta: float, k_max: int) -> list[float]:
+    if not (math.isfinite(sigma) and math.isfinite(eta) and eta >= 0.0):
+        raise ValueError("sigma must be finite, and eta finite and non-negative")
     terms = []
     for k, a_k in enumerate(series_coefficients(k_max)):
         # exact rational prefactor, converted to float once
         prefactor = float(Fraction((-1) ** k * a_k, 2**k * math.factorial(3 * k + 2)))
-        terms.append(prefactor * sigma ** (k + 1) * eta ** (3 * k + 2))
+        try:
+            term = prefactor * sigma ** (k + 1) * eta ** (3 * k + 2)
+        except OverflowError:  # float ** int raises where float * float gives inf
+            term = math.inf
+        if not math.isfinite(term):
+            raise SeriesNotConvergedError(f"series term {k} overflows at eta = {eta}")
+        terms.append(term)
     return terms
 
 
 def series_eval(sigma: float, eta: float, k_max: int) -> float:
     """Partial sum f(eta) = sum_k (-1/2)^k A_k sigma^(k+1) eta^(3k+2) / (3k+2)!.
 
-    Raises SeriesNotConvergedError when the final term exceeds 1e-9 of the
-    partial sum in magnitude (the series has a finite convergence region; do
-    not trust it far from the wall).
+    Raises SeriesNotConvergedError when a term overflows or the final term
+    exceeds 1e-9 of the partial sum in magnitude (the series has a finite
+    convergence region; do not trust it far from the wall).
     """
-    if eta < 0.0:
-        raise ValueError("eta must be non-negative")
     terms = _series_terms(sigma, eta, k_max)
     total = math.fsum(terms)
     tail = abs(terms[-1])
@@ -88,8 +94,6 @@ def series_eval(sigma: float, eta: float, k_max: int) -> float:
 
 def series_tail_estimate(sigma: float, eta: float, k_max: int) -> float:
     """Magnitude of the k_max term: the truncation estimate behind series_eval's gate."""
-    if eta < 0.0:
-        raise ValueError("eta must be non-negative")
     return abs(_series_terms(sigma, eta, k_max)[-1])
 
 
@@ -150,7 +154,7 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
                   & np.isfinite(fpp_col[start:stop]))
         if not finite.all():
             bad_row = start + int(np.argmin(finite))
-            raise IntegrationError(f"state non-finite near eta = {bad_row * step}")
+            raise IntegrationError(f"state non-finite near eta = {eta[bad_row]}")
     return SolutionProfile(eta=eta, f=f_col, fp=fp_col, fpp=fpp_col)
 
 

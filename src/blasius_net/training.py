@@ -150,12 +150,12 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class TrainingRun:
-    """Outcome of one training run."""
+    """Outcome of one training run; it keeps no per-iteration loss history."""
 
     final_params: NetworkParams
     final_loss: float
     iterations_used: int
-    loss_history: list[float]
+    initial_loss: float  # the loss before the first step
 
 
 def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
@@ -170,43 +170,34 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
     theta = np.array([init_params(seed, cfg.hidden_count, INIT_SCALE).weights for seed in seeds])
     velocity = np.zeros_like(theta)
-    step = np.empty_like(theta)
     rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
     outcomes = [None] * len(seeds)
     slots = list(range(len(seeds)))  # outcome slot of each stack entry
-    histories = [[] for _ in seeds]  # loss history of each stack entry
     budget, target = cfg.max_iterations, cfg.loss_target
     used = 0
     with np.errstate(all="ignore"):
         totals, _, grad = evaluator.evaluate(theta)
+        initial = totals  # the loss of each seed before its first step, by slot
         while True:
             # sum() is NaN-safe where min() is not: min skips a NaN that is not first
-            if used < budget and math.isfinite(sum(totals)) and min(totals) > target:
-                for history, total in zip(histories, totals):
-                    history.append(total)
-            else:
+            if used >= budget or not math.isfinite(sum(totals)) or min(totals) <= target:
                 keep = []
                 for entry, (slot, total) in enumerate(zip(slots, totals)):
                     if not math.isfinite(total):
                         outcomes[slot] = TrainingDivergedError(used)
-                        continue
-                    histories[entry].append(total)
-                    if used < budget and total > target:
+                    elif used < budget and total > target:
                         keep.append(entry)
                     else:
                         outcomes[slot] = TrainingRun(
                             final_params=NetworkParams(*theta[entry]), final_loss=total,
-                            iterations_used=used, loss_history=histories[entry])
+                            iterations_used=used, initial_loss=initial[slot])
                 if not keep:
                     return outcomes
-                if len(keep) < len(slots):
-                    slots = [slots[entry] for entry in keep]
-                    histories = [histories[entry] for entry in keep]
-                    theta, velocity, grad = theta[keep], velocity[keep], grad[keep]
-                    step = np.empty_like(theta)
+                slots = [slots[entry] for entry in keep]
+                theta, velocity, grad = theta[keep], velocity[keep], grad[keep]
             # momentum step, in place; row g of each grad entry takes its group's rate rates[g]
             velocity *= MOMENTUM_COEFF
-            velocity += np.multiply(rates, grad, step)
+            velocity += rates * grad
             theta -= velocity
             used += 1
             totals, _, grad = evaluator.evaluate(theta)
@@ -215,7 +206,6 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
 def train(cfg: TrainingConfig) -> TrainingRun:
     """Run gradient descent until the loss target, divergence, or the iteration cap.
 
-    loss_history holds the loss before any step and after every iteration.
     Deterministic: the same config always produces the same run, bit for bit,
     and the same run as that seed gives inside a seed_sweep.
     """

@@ -44,7 +44,7 @@ def same_run(left, right):
     if left is None or right is None:
         return left is None and right is None
     return (left.final_loss == right.final_loss
-            and left.loss_history == right.loss_history
+            and left.initial_loss == right.initial_loss
             and left.iterations_used == right.iterations_used
             and left.final_params.weights.tobytes() == right.final_params.weights.tobytes())
 

@@ -152,6 +152,19 @@ def test_series_prints_value(capsys):
     assert "truncation estimate" in captured.out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--eta", "1e10"], "error: series term 10 overflows at eta = 10000000000.0"),
+    (["--eta", "2", "--sigma", "1e200"], "error: series term 1 overflows at eta = 2.0"),
+    (["--eta", "nan"], "error: sigma must be finite, and eta finite and non-negative"),
+])
+def test_series_bad_input_is_named(argv, message, capsys):
+    code = run_cli(["series", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_compare_writes_rows(quick_model, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run_cli(["compare", "--model", str(quick_model), "--table", "T2",

@@ -133,6 +133,16 @@ def test_no_audit_call_stacks_more_than_one_block(draws, monkeypatch):
     assert max(stacks) == min(draws, AUDIT_BLOCK) * (1 + 2 * 3 * HIDDEN)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known false FAIL: near x = 5.95 the paper offset (~246) sits inside the differenced "
+    "y while |dy/dtheta| ~ 1e-3, so rounding of eps * |y| / FD_STEP exceeds REL_TOL; "
+    "the analytic gradient is right"))
+def test_paper_order_0_audit_passes_at_seed_660():
+    # fails today with ["trial_param_gradient paper order 0"]
+    failing = [r.name for r in run_gradient_checks(draws=10, seed=660) if not r.passed]
+    assert failing == []
+
+
 def test_gradient_discrepancy_is_infinite_on_non_finite_input():
     finite = (np.array([1.0, 2.0]),)
     for bad in (np.nan, np.inf, -np.inf):

@@ -93,6 +93,25 @@ def test_series_validation(sigma):
     with pytest.raises(ValueError):
         series_eval(sigma, 1.0, 0)
     assert series_eval(sigma, 0.0, 1) == 0.0
+    for bad_sigma, bad_eta in ((sigma, np.nan), (sigma, np.inf), (np.nan, 1.0), (-np.inf, 1.0)):
+        for fn in (series_eval, series_tail_estimate):
+            with pytest.raises(ValueError, match="sigma must be finite, and eta finite"):
+                fn(bad_sigma, bad_eta, 10)
+
+
+@pytest.mark.parametrize("sigma0, eta, k_max, term", [
+    (None, 1e10, 25, 10),   # eta ** (3k + 2) overflows
+    (None, 6.0, 200, 132),  # a far term, outside the convergence radius
+    (1e200, 2.0, 25, 1),    # sigma ** (k + 1) overflows
+    (1e200, 1e60, 25, 0),   # both powers are finite, their product is not
+])
+def test_series_term_overflow_is_named(sigma, sigma0, eta, k_max, term):
+    sigma = sigma if sigma0 is None else sigma0
+    message = f"series term {term} overflows at eta = {eta}"
+    for fn in (series_eval, series_tail_estimate):
+        with pytest.raises(SeriesNotConvergedError) as excinfo:
+            fn(sigma, eta, k_max)
+        assert str(excinfo.value) == message
 
 
 def test_rk4_initial_conditions_and_grid():
@@ -158,6 +177,8 @@ def test_rk4_blowup_raises():
         ((1e160, 2.0, 0.1), "state non-finite near eta = 0.1"),
         # row 1318, past the first block of stored steps
         ((2e5, 10.0, 1e-3), "state non-finite near eta = 1.318"),
+        # the only row is the short tail step, which ends at eta_max, not at one step
+        ((1e160, 0.05, 0.1), "state non-finite near eta = 0.05"),
     ]
     for args, message in cases:
         with warnings.catch_warnings():

@@ -148,11 +148,15 @@ def test_config_validation():
 
 
 def test_train_single_iteration_bookkeeping():
-    run = train(TrainingConfig(max_iterations=1))
+    cfg = TrainingConfig(max_iterations=1)
+    run = train(cfg)
     assert run.iterations_used == 1
-    assert len(run.loss_history) == 2
-    assert run.final_loss == run.loss_history[-1]
-    assert run.loss_history[0] == pytest.approx(431.43498568954016, rel=1e-12)
+    assert run.initial_loss == pytest.approx(431.43498568954016, rel=1e-12)
+    # initial_loss is the loss of the seed's start, final_loss that after the one step
+    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
+    start = init_params(cfg.seed, cfg.hidden_count, INIT_SCALE)
+    assert run.initial_loss == evaluator.report(start).total
+    assert run.final_loss == evaluator.report(run.final_params).total
 
 
 def test_train_replays_momentum_update():
@@ -180,30 +184,34 @@ def test_seed_sweep_fingerprint_is_bit_exact():
 def test_train_stops_at_loss_target():
     run = train(TrainingConfig(loss_target=1.0))
     assert run.final_loss <= 1.0
-    assert run.final_loss == run.loss_history[-1]
-    assert run.loss_history[-2] > 1.0
     assert run.iterations_used < 50000
+    # one iteration fewer leaves the loss above the target: the run stopped at the first hit
+    short = train(TrainingConfig(loss_target=1.0, max_iterations=run.iterations_used - 1))
+    assert short.iterations_used == run.iterations_used - 1
+    assert short.final_loss > 1.0
+    assert short.initial_loss == run.initial_loss
 
 
 def test_train_is_bitwise_deterministic():
     cfg = TrainingConfig(max_iterations=500)
     first = train(cfg)
     second = train(cfg)
-    assert first.loss_history == second.loss_history
+    assert first.initial_loss == second.initial_loss
+    assert first.iterations_used == second.iterations_used
     assert first.final_loss == second.final_loss
     assert np.array_equal(first.final_params.weights, second.final_params.weights)
 
 
 def test_train_reduces_default_loss():
     run = train(TrainingConfig(max_iterations=2000))
-    assert run.loss_history[0] > 100.0
+    assert run.initial_loss > 100.0
     assert run.final_loss < 0.05
 
 
 def test_train_paper_mode_descends():
     cfg = TrainingConfig(trial=TrialSpec(TrialMode.PAPER, 6.0), max_iterations=500)
     run = train(cfg)
-    assert run.final_loss < run.loss_history[0]
+    assert run.final_loss < run.initial_loss
 
 
 def test_training_divergence_reports_iteration():
@@ -234,7 +242,8 @@ def test_multi_run_picks_best_survivor():
 
 def test_best_run_prefers_lowest_loss_then_lower_seed():
     def run(loss):
-        return TrainingRun(final_params=None, final_loss=loss, iterations_used=0, loss_history=[])
+        return TrainingRun(final_params=None, final_loss=loss, iterations_used=0,
+                           initial_loss=loss)
 
     first, second, third = run(0.5), run(0.25), run(0.25)
     assert best_run([first, None, second, third]) is second

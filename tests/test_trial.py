@@ -65,6 +65,30 @@ def test_paper_value_pinned_at_node():
         assert trial_value(PAPER, params, 6.0) == 252.0
 
 
+def test_paper_mode_has_no_exact_solution():
+    # every solution with y(0) = y'(0) = 0 is a * g(a x) for some a > 0, where
+    # g is the unit-curvature solution (Toepfer); y(6) = a g(6a) grows with a,
+    # so y(6) = 252 fixes a, and that a gives y'(6) = a^2 g'(6a) far from the
+    # 120 that the paper trial also pins: no network reaches zero loss
+    interpolate = pytest.importorskip("scipy.interpolate")
+    optimize = pytest.importorskip("scipy.optimize")
+    from blasius_net.oracles import rk4_profile
+
+    assert trial_derivative(PAPER, zero_net(), 6.0, 1) == 120.0
+    g = rk4_profile(1.0, 60.0, 1e-3)
+    g_of, gp_of = interpolate.CubicSpline(g.eta, g.f), interpolate.CubicSpline(g.eta, g.fp)
+    scales = np.linspace(0.1, 9.5, 95)
+    assert np.all(np.diff(scales * g_of(6.0 * scales)) > 0.0)
+    a = optimize.brentq(lambda a: a * g_of(6.0 * a) - 252.0, 0.1, 9.5, xtol=1e-14)
+    assert a == pytest.approx(4.5882, abs=1e-4)
+    assert a**3 == pytest.approx(96.6, abs=0.05)  # y''(0)
+    assert a * a * gp_of(6.0 * a) == pytest.approx(43.90, abs=5e-3)
+    # the same member integrated directly from y''(0) = a^3
+    direct = rk4_profile(a**3, 6.0, 1e-3)
+    assert direct.f[-1] == pytest.approx(252.0, rel=1e-9)
+    assert direct.fp[-1] == pytest.approx(43.90, abs=5e-3)
+
+
 def test_boundary_conditions_hold_for_any_network():
     rng = np.random.default_rng(5)
     for spec in (PAPER, PENALTY):
