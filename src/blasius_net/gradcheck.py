@@ -125,10 +125,9 @@ def run_gradient_checks(draws: int = 100, seed: int = 0) -> list[GradCheckResult
         def measure(stack, xs):
             entry_xs = np.concatenate((xs, np.repeat(xs, 2 * stack[0].size)))
             jet = build(entry_xs[:, None], (order,))
-            y = jet.forward(stack, need_grad=True)
+            y = jet.forward(stack)
             jet.cotangent.fill(1.0)
-            jet.pull_to_network()
-            return y[:, 0, order, 0], jet.pull_to_params()
+            return y[:, 0, order, 0], jet.pull()
         return measure
 
     def loss_measure(evaluator: LossEvaluator):

@@ -25,16 +25,16 @@ the same layout, rows d_v, d_u, d_w.
 NetworkJet is the one implementation of the rest.  It evaluates n_0..n_3 at
 fixed abscissae, maps them per row through a fixed linear map (a trial
 solution's Leibniz rule, or the identity for the bare network), and pulls
-cotangents on the mapped values back onto the weights.  It works on a stack
-of S networks at once: theta is (S, 3, H), forward fills (S, rows, 4, 1) and
-pull_to_params returns (S, 3, H), each entry bit-identical to a stack of
-one.  The abscissae are either shared by every entry, xs of shape (rows,),
-or given per entry, xs of shape (S, rows) with the map's offset and linear
-parts per entry too; an entry's bits are the same either way.  Training
-stacks its seeds on shared abscissae; the gradient audit stacks each block
-of draws, every draw's own weights and perturbations at that draw's
-abscissa.  values, gradient, input_derivative and param_gradient are
-stacks of one.
+cotangents on the mapped values back onto the weights: forward fills
+(S, rows, 4, 1) from a stack theta of S networks, (S, 3, H), the caller
+writes the cotangent buffer, and pull returns the (S, 3, H) gradient, each
+entry bit-identical to a stack of one.  The abscissae are shared by every
+entry, xs of shape (rows,), or given per entry, xs of shape (S, rows) with
+the map's offset and linear parts per entry too; an entry's bits are the
+same either way.  Training stacks its seeds on shared abscissae; the
+gradient audit stacks each block of draws, every draw's own weights and
+perturbations at that draw's abscissa.  values, gradient, input_derivative
+and param_gradient are stacks of one.
 """
 
 from __future__ import annotations
@@ -92,12 +92,12 @@ def _check_order(order: int, top: int, low: int = 0) -> None:
         raise ValueError(f"order must be in {low}..{top}, got {order}")
 
 
-def _sigmoid_stack(z: np.ndarray, max_order: int, out):
-    """[sigma, sigma', ..., sigma^(max_order)] elementwise on the array z, max_order in 0..4.
+def _sigmoid_stack(z: np.ndarray, out):
+    """[sigma, sigma', ..., sigma^(4)] elementwise on the array z.
 
     out holds five arrays shaped like z (a (5,) + z.shape array or a sequence
-    of five views); entries 0..max_order are written and out is returned.
-    The tanh form of sigma is overflow-free for any z.
+    of five views); all five are written and out is returned.  The tanh form
+    of sigma is overflow-free for any z.
     """
     mul = np.multiply
     add = np.add
@@ -106,21 +106,17 @@ def _sigmoid_stack(z: np.ndarray, max_order: int, out):
     np.tanh(s, s)
     add(s, 1.0, s)
     mul(s, 0.5, s)
-    if max_order >= 1:
-        np.subtract(1.0, s, t)
-        mul(t, s, t)
-    if max_order >= 2:
-        mul(s, -2.0, g2)
-        add(g2, 1.0, g2)
-        mul(g2, t, g2)
-    if max_order >= 3:
-        mul(t, -6.0, g3)
-        add(g3, 1.0, g3)
-        mul(g3, t, g3)
-    if max_order >= 4:
-        mul(t, -12.0, g4)
-        add(g4, 1.0, g4)
-        mul(g4, g2, g4)
+    np.subtract(1.0, s, t)
+    mul(t, s, t)
+    mul(s, -2.0, g2)
+    add(g2, 1.0, g2)
+    mul(g2, t, g2)
+    mul(t, -6.0, g3)
+    add(g3, 1.0, g3)
+    mul(g3, t, g3)
+    mul(t, -12.0, g4)
+    add(g4, 1.0, g4)
+    mul(g4, g2, g4)
     return out
 
 
@@ -142,13 +138,14 @@ class NetworkJet:
     abscissae per entry, with offset (S, rows, 4) and linear
     (S, rows, 4, 4), and the jet then takes stacks of exactly S.
 
-    The adjoint takes a cotangent on the outputs y_k with k in
-    cotangent_orders, one column per order, back onto n and then onto
-    theta.  Its table is the selected rows of linear, transposed once at
-    construction.  Scratch buffers (y, cotangent, k and the rest) are
-    allocated for one (S, H) at a time and reused while it stays, so the
-    arrays that forward and pull_to_network return are overwritten by the
-    next call; pull_to_params needs a preceding forward with need_grad=True.
+    The protocol is forward, write the (S, rows, orders, 1) buffer
+    cotangent, pull.  cotangent_orders is one tuple of orders for every row
+    or one tuple per row, all of one length; column j of row r's cotangent
+    sits on y_k, k = cotangent_orders[r][j].  pull maps it onto n through
+    those rows of linear, transposed once at construction, then onto theta.
+    Scratch buffers (y, cotangent and the rest) are allocated for one
+    (S, H) at a time and reused while it stays: the next forward overwrites
+    y, and pull reads the activations of the last forward.
     """
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
@@ -156,15 +153,19 @@ class NetworkJet:
         if xs.ndim not in (1, 2):
             raise ValueError("xs must be (rows,) or (S, rows)")
         self.xs = xs
-        self.linear = np.array(linear, dtype=np.float64)
+        linear = np.array(linear, dtype=np.float64)
         self._xs_col = xs[..., None]
         # shared abscissae get leading axes of one: a stack of one then meets
         # no broadcasting
         lead = xs.shape[:-1] or (1,)
-        self._linear_b = self.linear.reshape(lead + self.linear.shape[-3:])
+        self._linear_b = linear.reshape(lead + linear.shape[-3:])
         self._offset = np.array(offset, dtype=np.float64).reshape(self._linear_b.shape[:-1])[..., None]
-        self._adj = np.ascontiguousarray(self._linear_b[:, :, cotangent_orders, :].transpose(0, 1, 3, 2))
-        self._orders = len(cotangent_orders)
+        orders = np.array(cotangent_orders, dtype=np.intp)
+        rows, self._orders = xs.shape[-1], orders.shape[-1]
+        orders = np.broadcast_to(orders, (rows, self._orders))
+        # row r's adjoint is linear[r, orders[r]] transposed, (4, orders)
+        adj = self._linear_b[:, np.arange(rows)[:, None], orders]
+        self._adj = np.ascontiguousarray(adj.transpose(0, 1, 3, 2))
         self._shape = None
 
     @classmethod
@@ -209,9 +210,9 @@ class NetworkJet:
         self._n_t = n.transpose(0, 2, 1, 3)
         # k[0, l] is the cotangent on n_l, k[1, l] the same scaled by x
         k = np.empty((2, 4, stack, rows))
-        self.k, self._k_scaled = k
-        self._k_out = self.k.transpose(1, 2, 0)[..., None]
-        self._k_lhs = self.k[:, :, None, :]
+        self._k, self._k_scaled = k
+        self._k_out = self._k.transpose(1, 2, 0)[..., None]
+        self._k_lhs = self._k[:, :, None, :]
         self._k_both = k.transpose(1, 0, 2, 3)[:, :, :, None, :]
         self._s = np.empty((4, stack, 1, hidden))
         self._tx = np.empty((4, 2, stack, 1, hidden))
@@ -229,7 +230,7 @@ class NetworkJet:
         self._sums_out = self._sums.transpose(1, 0, 2)
         self._sum_parts = tuple(self._sums_out)
 
-    def forward(self, theta: np.ndarray, need_grad: bool = False) -> np.ndarray:
+    def forward(self, theta: np.ndarray) -> np.ndarray:
         """Fill and return the (S, rows, 4, 1) buffer y for a float64 (S, 3, H) theta."""
         # hot path: out arguments are positional, since training runs this
         # once per iteration
@@ -240,7 +241,7 @@ class NetworkJet:
         z = self._z
         mul(self._xs_col, self._w_col, z)
         np.add(z, self._u_col, z)
-        _sigmoid_stack(z, 4 if need_grad else 3, self._sig_parts)
+        _sigmoid_stack(z, self._sig_parts)
 
         # n_l = sum_h v_h w_h^l sigma^(l), batched over l = 0..3
         np.copyto(self._w1, w)
@@ -254,22 +255,19 @@ class NetworkJet:
         np.add(y, self._offset, y)
         return y
 
-    def pull_to_network(self) -> np.ndarray:
-        """Map the cotangent buffer onto n: the (4, S, rows) buffer k, writable by the caller."""
-        np.matmul(self._adj, self.cotangent, self._k_out)
-        return self.k
+    def pull(self) -> np.ndarray:
+        """Pull the cotangent back onto a fresh (S, 3, H) gradient at the last forward's theta.
 
-    def pull_to_params(self) -> np.ndarray:
-        """Map the cotangent k on n onto a fresh (S, 3, H) gradient at the last forward's theta.
-
-        Rows d_v, d_u, d_w.  For z = w x + u: d/dv = sum_l w^l s_l,
+        The adjoint of the map puts a cotangent k_l on each n_l.  Then, rows
+        d_v, d_u, d_w, for z = w x + u: d/dv = sum_l w^l s_l,
         d/du = v sum_l w^l t_l and d/dw = v sum_l (l w^(l-1) s_l + w^l x_l),
         where s_l = k_l . sigma^(l), t_l = k_l . sigma^(l+1) and
         x_l = (k_l x) . sigma^(l+1), summed over rows.
         """
         mul = np.multiply
         add = np.add
-        mul(self.k, self.xs, self._k_scaled)
+        np.matmul(self._adj, self.cotangent, self._k_out)
+        mul(self._k, self.xs, self._k_scaled)
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
 
@@ -292,10 +290,9 @@ class NetworkJet:
 
     def gradient(self, params: NetworkParams) -> np.ndarray:
         """Fresh (3, H) gradient of the selected outputs y_k, summed over rows and orders."""
-        self.forward(params.weights[None], need_grad=True)
+        self.forward(params.weights[None])
         self.cotangent.fill(1.0)
-        self.pull_to_network()
-        return self.pull_to_params()[0]
+        return self.pull()[0]
 
 
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:

@@ -62,8 +62,11 @@ def series_coefficients(k_max: int) -> tuple[int, ...]:
 def _series_terms(sigma: float, eta: float, k_max: int) -> list[float]:
     if not (math.isfinite(sigma) and math.isfinite(eta) and eta >= 0.0):
         raise ValueError("sigma must be finite, and eta finite and non-negative")
+    coefficients = series_coefficients(k_max)
+    if eta == 0.0:  # every term is exactly 0; sigma ** (k + 1) alone may overflow
+        return [0.0] * len(coefficients)
     terms = []
-    for k, a_k in enumerate(series_coefficients(k_max)):
+    for k, a_k in enumerate(coefficients):
         # exact rational prefactor, converted to float once
         prefactor = float(Fraction((-1) ** k * a_k, 2**k * math.factorial(3 * k + 2)))
         try:

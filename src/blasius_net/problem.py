@@ -89,10 +89,11 @@ class LossEvaluator:
 
     The trial jet (trial.trial_jet) evaluates y, y'' and y''' at the grid
     points, plus y' at the domain end in penalty mode, and pulls the
-    residual cotangent (dL/dy0, dL/dy2, dL/dy3) back onto the weights.  This
-    class adds the residual, the penalty and that cotangent, so one
-    evaluate() call is a fixed handful of array operations for the whole
-    stack plus a short scalar tail per entry.  Each entry's total is its
+    cotangent back onto the weights: (dL/dy0, dL/dy2, dL/dy3) on each grid
+    row, and (dL/dy1, 0, 0) on the end row, whose cotangent sits on y', y''
+    and y'''.  This class adds the residual, the penalty and that cotangent,
+    so one evaluate() call is a fixed handful of array operations for the
+    whole stack plus a short scalar tail per entry.  Each entry's total is its
     squared residuals added left to right in grid order, then its penalty,
     so it does not depend on the stack around it.  Scratch arrays are reused
     between calls to keep the training loop cheap; everything returned is
@@ -111,13 +112,14 @@ class LossEvaluator:
         # the paper family pins the far end through its envelope: no penalty
         self.penalty_active = spec.mode is TrialMode.PENALTY and lam > 0.0
         self.penalty_weight = lam if spec.mode is TrialMode.PENALTY else 0.0
-        xs = np.append(pts, spec.domain_end) if self.penalty_active else pts
-        self._rows = xs.size
-        self._jet = trial_jet(spec, xs, (0, 2, 3))
-        self._y = None
+        xs, orders = pts, (0, 2, 3)
         if self.penalty_active:
-            # the end row's cotangent sits on y' = F' N + F N'
-            self._f1_end, self._f0_end = self._jet.linear[m, 1, :2].tolist()
+            # the end row's cotangent sits on y', y'' and y'''
+            xs = np.append(pts, spec.domain_end)
+            orders = ((0, 2, 3),) * m + ((1, 2, 3),)
+        self._rows = xs.size
+        self._jet = trial_jet(spec, xs, orders)
+        self._y = None
 
     def _bind(self, y: np.ndarray) -> None:
         """Flat views onto the jet's buffers, rebuilt whenever the jet reallocates them."""
@@ -132,8 +134,8 @@ class LossEvaluator:
         if self.penalty_active:
             self._r_end = self._r[m::rows]
             self._y1_end = y[:, m, 1, 0]
-            self._k0_end = jet.k[0, :, m]
-            self._k1_end = jet.k[1, :, m]
+            self._err = np.empty(y.shape[0])
+            self._c_y1_end = jet.cotangent[:, m, 0, 0]
 
     def evaluate(self, theta: np.ndarray, need_grad: bool = True):
         """Return (totals, penalty_terms, grad) for the float64 (S, 3, H) weight stack theta.
@@ -151,7 +153,7 @@ class LossEvaluator:
         # training iteration
         mul = np.multiply
         jet = self._jet
-        y = jet.forward(theta, need_grad)
+        y = jet.forward(theta)
         if y is not self._y:
             self._bind(y)
         r = self._r
@@ -164,20 +166,17 @@ class LossEvaluator:
         values = r.tolist()
         totals = []
         penalties = []
-        errs = None
+        lam = self.penalty_weight
+        errs = [0.0] * theta.shape[0]
         if self.penalty_active:
-            lam = self.penalty_weight
-            errs = [slope - 1.0 for slope in self._y1_end.tolist()]
+            errs = np.subtract(self._y1_end, 1.0, self._err).tolist()
             # the end row carries the slope penalty, not a residual
             self._r_end.fill(0.0)
-        for entry, start in enumerate(range(0, len(values), rows)):
+        for err, start in zip(errs, range(0, len(values), rows)):
             total = 0.0
             for val in values[start:start + m]:
                 total += val * val
-            penalty = 0.0
-            if errs is not None:
-                err = errs[entry]
-                penalty = lam * err * err
+            penalty = lam * err * err
             totals.append(total + penalty)
             penalties.append(penalty)
 
@@ -187,15 +186,10 @@ class LossEvaluator:
         mul(r, self._y2, self._c_y0)
         mul(r, self._y0, self._c_y2)
         mul(r, 2.0, self._c_y3)
-        jet.pull_to_network()
-        if errs is not None:
-            k0_end, k1_end = self._k0_end, self._k1_end
-            f1, f0 = self._f1_end, self._f0_end
-            for entry, err in enumerate(errs):
-                cp = 2.0 * lam * err
-                k0_end[entry] = cp * f1
-                k1_end[entry] = cp * f0
-        return totals, penalties, jet.pull_to_params()
+        if self.penalty_active:
+            # the zero residual left 0 in the end row's y'' and y''' columns
+            mul(self._err, 2.0 * lam, self._c_y1_end)
+        return totals, penalties, jet.pull()
 
     def report(self, params: NetworkParams) -> LossReport:
         with np.errstate(all="ignore"):

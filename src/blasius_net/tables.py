@@ -6,12 +6,15 @@ relative errors exactly as printed there.  Printed errors keep their original
 string form so "one unit in the last printed digit" stays well defined.
 
 Fixtures are JSON files shipped with the package; the BLASIUS_NET_FIXTURES
-environment variable points the loader at a different directory.
+environment variable points the loader at a different directory, whose files
+are outside input: load_table checks their layout and raises
+TableFormatError, naming the file and the row, for any fixture that breaks it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "PrintedError",
+    "TableFormatError",
     "ReferenceColumn",
     "ReferenceTable",
     "parse_printed_error",
@@ -47,13 +51,23 @@ class PrintedError:
     unit: float
 
 
+class TableFormatError(ValueError):
+    """A table fixture that does not hold the layout load_table documents."""
+
+
 def parse_printed_error(text: str) -> PrintedError:
     mantissa, _, exponent = text.partition("e")
     if not exponent:
         raise ValueError(f"printed error '{text}' lacks an exponent")
     decimals = len(mantissa.partition(".")[2])
-    unit = 10.0 ** (int(exponent) - decimals)
-    return PrintedError(text=text, value=float(text), unit=unit)
+    try:
+        value = float(text)
+        unit = 10.0 ** (int(exponent) - decimals)
+    except (ValueError, OverflowError):
+        value = unit = math.nan
+    if not (math.isfinite(value) and unit > 0.0):
+        raise ValueError(f"printed error '{text}' is not a finite number in e-notation")
+    return PrintedError(text=text, value=value, unit=unit)
 
 
 @dataclass(frozen=True)
@@ -122,35 +136,87 @@ def _normalize_table_id(table_id: str | int) -> str:
     return tid if tid.startswith("T") else f"T{tid}"
 
 
+def _number(value, where: str) -> float:
+    # bool is an int to Python, but true is no number in a table
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TableFormatError(f"{where}: {value!r} is not a finite number")
+    return float(value)
+
+
+def _printed(text, where: str) -> PrintedError | None:
+    if text is None:
+        return None
+    if not isinstance(text, str):
+        raise TableFormatError(f"{where}: printed error {text!r} is not a string")
+    try:
+        return parse_printed_error(text)
+    except ValueError as exc:
+        raise TableFormatError(f"{where}: {exc}") from None
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
 def load_table(table_id: str | int) -> ReferenceTable:
-    """Load one bundled table ("T1".."T8", or the bare number)."""
+    """Load one bundled table ("T1".."T8", or the bare number).
+
+    The fixture is a JSON object with keys table_id (the id asked for),
+    quantity (one of QUANTITIES), references (the column labels) and rows,
+    each row [eta, own, [refs], [errors]] with one reference value and one
+    printed error (a string, or null) per label, etas strictly increasing.
+    A fixture that breaks this raises TableFormatError.
+    """
     tid = _normalize_table_id(table_id)
     if tid not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
     path = fixtures_dir() / f"table{tid[1:]}.json"
     if not path.exists():
         raise FileNotFoundError(f"fixture file {path} not found")
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise TableFormatError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise TableFormatError(f"{path}: not a JSON object")
+    for key in ("table_id", "quantity", "references", "rows"):
+        if key not in data:
+            raise TableFormatError(f"{path}: missing key {key!r}")
+    if data["table_id"] != tid:
+        raise TableFormatError(f"{path}: table_id {data['table_id']!r}, expected {tid!r}")
     if data["quantity"] not in QUANTITIES:
-        raise ValueError(f"{path}: bad quantity {data['quantity']!r}")
+        raise TableFormatError(f"{path}: bad quantity {data['quantity']!r}")
     labels = data["references"]
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
+        raise TableFormatError(f"{path}: references must be a non-empty list of labels")
     rows = data["rows"]
-    etas = np.array([row[0] for row in rows], dtype=np.float64)
-    own = np.array([row[1] for row in rows], dtype=np.float64)
-    refs = []
-    for j, label in enumerate(labels):
-        values = np.array([row[2][j] for row in rows], dtype=np.float64)
-        printed = tuple(
-            parse_printed_error(row[3][j]) if row[3][j] is not None else None for row in rows
-        )
-        values.flags.writeable = False
-        refs.append(ReferenceColumn(label=label, values=values, printed_errors=printed))
-    etas.flags.writeable = False
-    own.flags.writeable = False
+    if not (isinstance(rows, list) and rows):
+        raise TableFormatError(f"{path}: rows must be a non-empty list")
+    etas, own, values, printed = [], [], [], []
+    for number, row in enumerate(rows):
+        where = f"{path}: rows[{number}]"
+        if not (isinstance(row, list) and len(row) == 4
+                and all(isinstance(part, list) and len(part) == len(labels) for part in row[2:])):
+            raise TableFormatError(f"{where}: expected [eta, own, [refs], [errors]] with "
+                                   f"{len(labels)} entries per list, got {row!r}")
+        eta = _number(row[0], where)
+        if etas and eta <= etas[-1]:
+            raise TableFormatError(f"{where}: eta {eta} does not exceed the previous {etas[-1]}")
+        etas.append(eta)
+        own.append(_number(row[1], where))
+        values.append([_number(value, where) for value in row[2]])
+        printed.append([_printed(text, where) for text in row[3]])
+    refs = tuple(
+        ReferenceColumn(label=label, values=_frozen([row[j] for row in values]),
+                        printed_errors=tuple(row[j] for row in printed))
+        for j, label in enumerate(labels)
+    )
     return ReferenceTable(
         table_id=data["table_id"],
         quantity=data["quantity"],
-        etas=etas,
-        own_values=own,
-        references=tuple(refs),
+        etas=_frozen(etas),
+        own_values=_frozen(own),
+        references=refs,
     )

@@ -102,14 +102,11 @@ def _draw_params(rng: XorShift64Star, hidden_count: int, scale: float) -> Networ
     return NetworkParams(draws[:h], draws[h:2 * h], draws[2 * h:])
 
 
-def init_params(seed: int, hidden_count: int, scale: float) -> NetworkParams:
-    """Uniform [-scale, scale) start, drawn in the order v, then u, then w."""
+def init_params(seed: int, hidden_count: int) -> NetworkParams:
+    """Uniform [-INIT_SCALE, INIT_SCALE) start from seed's stream, drawn v, then u, then w."""
     if hidden_count < 1:
         raise ValueError("hidden_count must be at least 1")
-    scale = float(scale)
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise ValueError("scale must be finite and positive")
-    return _draw_params(XorShift64Star(seed), hidden_count, scale)
+    return _draw_params(XorShift64Star(seed), hidden_count, INIT_SCALE)
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     """
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
-    theta = np.array([init_params(seed, cfg.hidden_count, INIT_SCALE).weights for seed in seeds])
+    theta = np.array([init_params(seed, cfg.hidden_count).weights for seed in seeds])
     velocity = np.zeros_like(theta)
     rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
     outcomes = [None] * len(seeds)

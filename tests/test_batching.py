@@ -4,7 +4,9 @@ seed_sweep trains all its seeds as one (S, 3, H) stack, and the gradient
 audit pushes a block of draws, their own weights and all 2 * 3H
 finite-difference perturbations of each, through one call with an abscissa
 per entry.  These properties pin both to the one-at-a-time results, bit for
-bit.
+bit.  The loss evaluator's jet puts its end row's cotangent on other outputs
+than its grid rows'; per-row cotangent orders are pinned to the one-tuple
+form and to a sum of one-row jets.
 """
 
 import dataclasses
@@ -165,15 +167,63 @@ def test_per_entry_abscissae_match_shared_stack_of_one(kind, hidden, count, rows
     seed = data.draw(st.integers(0, 2**32 - 1), label="weights_seed")
     theta = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
     jet = build(xs, (order,))
-    values = jet.forward(theta, need_grad=True)[:, :, :, 0].copy()
+    values = jet.forward(theta)[:, :, :, 0].copy()
     jet.cotangent.fill(1.0)
-    jet.pull_to_network()
-    grads = jet.pull_to_params()
+    grads = jet.pull()
     for entry in range(count):
         params = NetworkParams(*theta[entry])
         alone = build(xs[entry], (order,))
         assert values[entry].tobytes() == alone.values(params).tobytes()
         assert grads[entry].tobytes() == alone.gradient(params).tobytes()
+
+
+def jet_case(data, per_entry, count, rows):
+    """Abscissae for a count-entry stack, shared or per entry, and a random theta stack."""
+    shape = (count, rows) if per_entry else (rows,)
+    flat = data.draw(st.lists(st.floats(0.0, 6.0), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape))), label="xs")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    return np.array(flat).reshape(shape), rng.uniform(-2.0, 2.0, (count, 3, 4)), rng
+
+
+def pulled(jet, theta, cotangent):
+    values = jet.forward(theta).copy()
+    jet.cotangent[...] = cotangent
+    return values, jet.pull()
+
+
+def orders_of(width):
+    return st.lists(st.integers(0, 3), min_size=width, max_size=width, unique=True).map(tuple)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["bare", "paper", "penalty"]), per_entry=st.booleans(),
+       count=st.integers(1, 6), rows=st.integers(1, 4),
+       orders=st.integers(1, 4).flatmap(orders_of), data=st.data())
+def test_equal_per_row_orders_match_the_tuple_form(kind, per_entry, count, rows, orders, data):
+    xs, theta, rng = jet_case(data, per_entry, count, rows)
+    cotangent = rng.uniform(-2.0, 2.0, (count, rows, len(orders), 1))
+    build = jet_builder(kind)
+    values, grad = pulled(build(xs, orders), theta, cotangent)
+    row_values, row_grad = pulled(build(xs, (orders,) * rows), theta, cotangent)
+    assert row_values.tobytes() == values.tobytes()
+    assert row_grad.tobytes() == grad.tobytes()
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["bare", "paper", "penalty"]), per_entry=st.booleans(),
+       count=st.integers(1, 6), rows=st.integers(2, 4), width=st.integers(1, 3),
+       data=st.data())
+def test_per_row_orders_pull_the_sum_of_one_row_jets(kind, per_entry, count, rows, width, data):
+    xs, theta, rng = jet_case(data, per_entry, count, rows)
+    per_row = [data.draw(orders_of(width), label=f"orders {r}") for r in range(rows)]
+    cotangent = rng.uniform(-2.0, 2.0, (count, rows, width, 1))
+    build = jet_builder(kind)
+    _, grad = pulled(build(xs, per_row), theta, cotangent)
+    expected = sum(pulled(build(xs[..., r:r + 1], per_row[r]), theta, cotangent[:, r:r + 1])[1]
+                   for r in range(rows))
+    assert np.max(np.abs(grad - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_per_entry_jet_takes_stacks_of_its_own_size():

@@ -165,6 +165,15 @@ def test_series_bad_input_is_named(argv, message, capsys):
     assert captured.err == message + "\n"
 
 
+def test_series_at_the_wall_is_zero_for_any_sigma(capsys):
+    # every term vanishes at eta = 0, even where sigma ** (k + 1) alone would overflow
+    code = run_cli(["series", "--eta", "0", "--sigma", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[1:] == ["f(0) = 0", "truncation estimate = 0.000000e+00"]
+    assert captured.err == ""
+
+
 def test_compare_writes_rows(quick_model, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run_cli(["compare", "--model", str(quick_model), "--table", "T2",

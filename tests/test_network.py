@@ -26,7 +26,7 @@ TOP = MAX_DERIVATIVE_ORDER + 1  # the stack goes one order past the input deriva
 def sigmoid_stack(z):
     """sigma and its first four derivatives on z, as a (5,) + z.shape array."""
     z = np.asarray(z, dtype=np.float64)
-    return _sigmoid_stack(z, TOP, np.empty((TOP + 1,) + z.shape))
+    return _sigmoid_stack(z, np.empty((TOP + 1,) + z.shape))
 
 
 def test_sigmoid_midpoint_values():

@@ -1,5 +1,7 @@
 """Unit tests for the bundled reference tables and printed-error parsing."""
 
+import json
+import re
 import shutil
 
 import numpy as np
@@ -9,6 +11,7 @@ from blasius_net.report import relative_error
 from blasius_net.tables import (
     FIXTURES_ENV_VAR,
     TABLE_IDS,
+    TableFormatError,
     fixtures_dir,
     load_table,
     parse_printed_error,
@@ -133,3 +136,66 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv(FIXTURES_ENV_VAR, str(empty))
     with pytest.raises(FileNotFoundError):
         load_table("T1")
+
+
+def _drop_quantity(data):
+    del data["quantity"]
+
+
+def _other_table_id(data):
+    data["table_id"] = "T7"
+
+
+def _short_row(data):
+    data["rows"][2][2] = data["rows"][2][2][:1]
+
+
+def _three_part_row(data):
+    data["rows"][2] = data["rows"][2][:3]
+
+
+def _text_value(data):
+    data["rows"][2][1] = "0.02"
+
+
+def _nan_value(data):
+    data["rows"][2][2][1] = float("nan")
+
+
+def _bad_printed_error(data):
+    data["rows"][2][3][0] = "4.70e-x"
+
+
+def _etas_out_of_order(data):
+    rows = data["rows"]
+    rows[2], rows[3] = rows[3], rows[2]
+
+
+@pytest.mark.parametrize("mangle, detail", [
+    pytest.param(None, "not JSON", id="bad_json"),
+    pytest.param(_drop_quantity, "missing key 'quantity'", id="missing_key"),
+    pytest.param(_other_table_id, "table_id 'T7', expected 'T1'", id="other_table_id"),
+    pytest.param(_short_row, r"rows\[2\]: expected \[eta, own, \[refs\], \[errors\]\] with 2 "
+                 "entries", id="short_reference_list"),
+    pytest.param(_three_part_row, r"rows\[2\]: expected \[eta, own", id="three_part_row"),
+    pytest.param(_text_value, r"rows\[2\]: '0.02' is not a finite number", id="text_value"),
+    pytest.param(_nan_value, r"rows\[2\]: nan is not a finite number", id="nan_value"),
+    pytest.param(_bad_printed_error, r"rows\[2\]: printed error '4.70e-x' is not a finite number",
+                 id="bad_printed_error"),
+    pytest.param(_etas_out_of_order, r"rows\[3\]: eta 0.6 does not exceed the previous 0.8",
+                 id="etas_out_of_order"),
+])
+def test_malformed_fixture_is_named(mangle, detail, tmp_path, monkeypatch):
+    copy = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), copy)
+    path = copy / "table1.json"
+    if mangle is None:
+        path.write_text(path.read_text()[:-20])
+    else:
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+    monkeypatch.setenv(FIXTURES_ENV_VAR, str(copy))
+    with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: {detail}"):
+        load_table("T1")
+    assert load_table("T2").table_id == "T2"

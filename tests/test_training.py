@@ -14,6 +14,7 @@ from blasius_net.training import (
     TrainingDivergedError,
     TrainingRun,
     XorShift64Star,
+    _draw_params,
     best_run,
     init_params,
     multi_run,
@@ -92,30 +93,29 @@ def test_xorshift_uniform_range_and_scaling():
 
 
 def test_init_params_deterministic_and_in_range():
-    first = init_params(0, 5, 0.5)
-    second = init_params(0, 5, 0.5)
+    first = init_params(0, 5)
+    second = init_params(0, 5)
     for left, right in zip(first.weights, second.weights):
         assert np.array_equal(left, right)
         assert left.shape == (5,)
         assert np.all(left >= -0.5) and np.all(left < 0.5)
-    other = init_params(1, 5, 0.5)
+    other = init_params(1, 5)
     assert not np.array_equal(first.weights[0], other.weights[0])
 
 
 def test_init_params_draw_order_v_u_w():
-    rng = XorShift64Star(11)
-    draws = [rng.uniform(-0.25, 0.25) for _ in range(9)]
-    params = init_params(11, 3, 0.25)
-    assert params.weights.tolist() == [draws[0:3], draws[3:6], draws[6:9]]
+    for scale in (INIT_SCALE, 0.25):
+        rng = XorShift64Star(11)
+        draws = [rng.uniform(-scale, scale) for _ in range(9)]
+        params = _draw_params(XorShift64Star(11), 3, scale)
+        assert params.weights.tolist() == [draws[0:3], draws[3:6], draws[6:9]]
+    assert init_params(11, 3).weights.tobytes() == _draw_params(
+        XorShift64Star(11), 3, INIT_SCALE).weights.tobytes()
 
 
 def test_init_params_validation():
-    with pytest.raises(ValueError):
-        init_params(0, 0, 0.5)
-    with pytest.raises(ValueError):
-        init_params(0, 5, 0.0)
-    with pytest.raises(ValueError):
-        init_params(0, 5, np.inf)
+    with pytest.raises(ValueError, match="hidden_count must be at least 1"):
+        init_params(0, 0)
 
 
 def test_config_defaults_and_grid_fill_in():
@@ -154,7 +154,7 @@ def test_train_single_iteration_bookkeeping():
     assert run.initial_loss == pytest.approx(431.43498568954016, rel=1e-12)
     # initial_loss is the loss of the seed's start, final_loss that after the one step
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
-    start = init_params(cfg.seed, cfg.hidden_count, INIT_SCALE)
+    start = init_params(cfg.seed, cfg.hidden_count)
     assert run.initial_loss == evaluator.report(start).total
     assert run.final_loss == evaluator.report(run.final_params).total
 
@@ -162,7 +162,7 @@ def test_train_single_iteration_bookkeeping():
 def test_train_replays_momentum_update():
     cfg = TrainingConfig(max_iterations=3)
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
-    start = init_params(cfg.seed, cfg.hidden_count, INIT_SCALE)
+    start = init_params(cfg.seed, cfg.hidden_count)
     params = list(start.weights)
     rates = (cfg.lr_v, cfg.lr_u, cfg.lr_w)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
