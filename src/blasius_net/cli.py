@@ -156,7 +156,7 @@ def _cmd_compare(args) -> int:
     params, spec = load_model(args.model)
     table = load_table(args.table)
     within = table.restrict(spec.domain_end)
-    skipped = [eta for eta in table.etas.tolist() if eta > spec.domain_end]
+    skipped = table.etas[len(within):].tolist()
     if skipped:
         print(f"note: {len(skipped)} rows beyond domain_end={spec.domain_end} skipped: "
               f"{skipped}", file=sys.stderr)

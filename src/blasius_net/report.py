@@ -25,13 +25,17 @@ class TableJoinError(ValueError):
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One eta's comparison; absolute marks a zero reference (error is then |ours|)."""
+    """One eta's comparison against one reference value."""
 
     eta: float
     ours: float
     reference: float
     rel_error: float
-    absolute: bool = False
+
+    @property
+    def absolute(self) -> bool:
+        """A zero reference, against which rel_error is |ours| (see relative_error)."""
+        return self.reference == 0.0
 
 
 def relative_error(ours: float, reference: float) -> float:
@@ -68,23 +72,14 @@ def compare(profile: SolutionProfile, table: ReferenceTable,
     """
     column = table.column(reference)
     ours_col = getattr(profile, table.quantity)
-    missing = []
-    indices = []
-    for eta in table.etas.tolist():
+    rows, missing = [], []
+    for eta, ref in zip(table.etas.tolist(), column.values.tolist()):
         try:
-            indices.append(profile.index_of(eta))
+            ours = float(ours_col[profile.index_of(eta)])
         except KeyError:
             missing.append(eta)
+            continue
+        rows.append(ComparisonRow(eta, ours, ref, relative_error(ours, ref)))
     if missing:
         raise TableJoinError(table.table_id, missing)
-    rows = []
-    for pos, (eta, ref) in enumerate(zip(table.etas.tolist(), column.values.tolist())):
-        ours = float(ours_col[indices[pos]])
-        rows.append(ComparisonRow(
-            eta=eta,
-            ours=ours,
-            reference=ref,
-            rel_error=relative_error(ours, ref),
-            absolute=(ref == 0.0),
-        ))
     return rows

@@ -28,14 +28,17 @@ __all__ = [
     "ReferenceTable",
     "parse_printed_error",
     "fixtures_dir",
+    "QUANTITY",
     "TABLE_IDS",
     "load_table",
 ]
 
 FIXTURES_ENV_VAR = "BLASIUS_NET_FIXTURES"
 
-QUANTITIES = ("f", "fp", "fpp")
-TABLE_IDS = tuple(f"T{i}" for i in range(1, 9))
+# the profile column each table tabulates
+QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",
+            "T5": "f", "T6": "f", "T7": "fp", "T8": "fpp"}
+TABLE_IDS = tuple(QUANTITY)
 
 
 @dataclass(frozen=True)
@@ -101,25 +104,12 @@ class ReferenceTable:
         raise KeyError(f"table {self.table_id} has no column '{key}' (have: {labels})")
 
     def restrict(self, eta_max: float) -> "ReferenceTable":
-        """Copy of the table keeping only rows with eta <= eta_max."""
-        keep = self.etas <= eta_max
-        if np.all(keep):
-            return self
-        refs = tuple(
-            ReferenceColumn(
-                label=col.label,
-                values=col.values[keep],
-                printed_errors=tuple(e for e, k in zip(col.printed_errors, keep) if k),
-            )
-            for col in self.references
-        )
-        return ReferenceTable(
-            table_id=self.table_id,
-            quantity=self.quantity,
-            etas=self.etas[keep],
-            own_values=self.own_values[keep],
-            references=refs,
-        )
+        """The leading rows with eta <= eta_max (etas increase strictly)."""
+        n = int(np.searchsorted(self.etas, eta_max, side="right"))
+        refs = tuple(ReferenceColumn(col.label, col.values[:n], col.printed_errors[:n])
+                     for col in self.references)
+        return ReferenceTable(self.table_id, self.quantity, self.etas[:n],
+                              self.own_values[:n], refs)
 
 
 def fixtures_dir() -> Path:
@@ -137,10 +127,10 @@ def _normalize_table_id(table_id: str | int) -> str:
 
 
 def _number(value, where: str) -> float:
-    # bool is an int to Python, but true is no number in a table
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # load_table parses JSON integers as floats, so true, null or a string is no float
+    if not (isinstance(value, float) and math.isfinite(value)):
         raise TableFormatError(f"{where}: {value!r} is not a finite number")
-    return float(value)
+    return value
 
 
 def _printed(text, where: str) -> PrintedError | None:
@@ -164,7 +154,7 @@ def load_table(table_id: str | int) -> ReferenceTable:
     """Load one bundled table ("T1".."T8", or the bare number).
 
     The fixture is a JSON object with keys table_id (the id asked for),
-    quantity (one of QUANTITIES), references (the column labels) and rows,
+    quantity (QUANTITY of that id), references (the column labels) and rows,
     each row [eta, own, [refs], [errors]] with one reference value and one
     printed error (a string, or null) per label, etas strictly increasing.
     A fixture that breaks this raises TableFormatError.
@@ -176,8 +166,10 @@ def load_table(table_id: str | int) -> ReferenceTable:
     if not path.exists():
         raise FileNotFoundError(f"fixture file {path} not found")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        # ValueError covers bytes that are not UTF-8 too; an integer parsed as a float
+        # reads inf where float() of it would overflow, and meets no digit limit
+        data = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
+    except ValueError as exc:
         raise TableFormatError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise TableFormatError(f"{path}: not a JSON object")
@@ -186,8 +178,8 @@ def load_table(table_id: str | int) -> ReferenceTable:
             raise TableFormatError(f"{path}: missing key {key!r}")
     if data["table_id"] != tid:
         raise TableFormatError(f"{path}: table_id {data['table_id']!r}, expected {tid!r}")
-    if data["quantity"] not in QUANTITIES:
-        raise TableFormatError(f"{path}: bad quantity {data['quantity']!r}")
+    if data["quantity"] != QUANTITY[tid]:
+        raise TableFormatError(f"{path}: quantity {data['quantity']!r}, expected {QUANTITY[tid]!r}")
     labels = data["references"]
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)):
         raise TableFormatError(f"{path}: references must be a non-empty list of labels")

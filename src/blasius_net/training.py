@@ -2,7 +2,10 @@
 
 Initial weights come from a hand-rolled xorshift64* stream so that a given
 seed produces bit-identical parameters on every platform; nothing else in a
-run is stochastic, so whole training runs are reproducible byte for byte.
+run is stochastic.  Whole training runs are bit-identical for one BLAS kernel
+set, whatever the stack size or thread count; another kernel set (OpenBLAS's
+Haswell against its SkylakeX kernels, say) may round the matrix products of
+the loss differently, and so move the last bits of a run.
 
 One loop trains every seed of a sweep in lockstep: the weights of S seeds
 are one (S, 3, H) array theta with rows v, u, w per seed (the layout of

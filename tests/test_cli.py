@@ -1,17 +1,22 @@
-"""End-to-end tests of the command-line interface (run in-process)."""
+"""End-to-end tests of the command-line interface (run in-process, bar one in subprocesses)."""
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blasius_net import problem
-from blasius_net.cli import run_cli
+from blasius_net.cli import build_parser, run_cli
 from blasius_net.model_io import load_model
 from blasius_net.oracles import rk4_profile, series_eval, shoot
 from blasius_net.profiles import format_float
 from blasius_net.tables import load_table
+from blasius_net.training import TrainingConfig
 
 from helpers import read_profile_csv
 
@@ -103,6 +108,37 @@ def test_solve_paper_mode(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: paper mode needs domain_end = 6.0, the node of its envelope; "
                             "got 8.0\n")
+
+
+def test_solve_defaults_are_the_training_config():
+    # the acceptance suite certifies TrainingConfig(); users and the benchmark run `solve`
+    args = build_parser().parse_args(["solve"])
+    cfg = TrainingConfig()
+    assert args.mode == cfg.trial.mode.value
+    assert args.hidden == cfg.hidden_count
+    assert args.points == len(cfg.grid)
+    assert args.domain_end == cfg.trial.domain_end
+    assert np.array_equal(problem.CollocationGrid.equidistant(args.points, args.domain_end).points,
+                          cfg.grid.points)
+    assert args.seed == cfg.seed
+    assert args.iterations == cfg.max_iterations
+    assert (args.lr_v, args.lr_u, args.lr_w) == (cfg.lr_v, cfg.lr_u, cfg.lr_w)
+    assert args.penalty == cfg.penalty_weight
+
+
+def test_solve_bytes_ignore_thread_count_and_hash_seed(tmp_path):
+    out = tmp_path / "model.txt"
+    argv = [sys.executable, "-m", "blasius_net.cli", "solve", "--runs", "3", "--iterations", "50",
+            "--out", str(out)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = set()
+    for threads, hash_seed in [("1", "0"), ("2", "1"), ("1", "1"), ("2", "0")]:
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
+        out.unlink(missing_ok=True)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        seen.add((done.stdout, out.read_bytes()))
+    assert len(seen) == 1
 
 
 def test_oracle_writes_profile(tmp_path, capsys):

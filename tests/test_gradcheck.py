@@ -17,7 +17,9 @@ from blasius_net.network import NetworkJet, NetworkParams, param_gradient
 from blasius_net.problem import LossEvaluator
 
 # [r.max_rel_error for r in run_gradient_checks(draws=3, seed=0)], repr-exact;
-# any rounding change in the audit's draws, jets, evaluator or differences moves one
+# any rounding change in the audit's draws, jets, evaluator or differences moves one.
+# Both audit pins were recorded on OpenBLAS's SkylakeX kernels (the report header
+# names this run's); the Haswell and Zen kernels round differently and fail them
 AUDIT_FINGERPRINT = [
     1.147799414386947e-09,
     5.997416780438978e-10,
@@ -36,7 +38,7 @@ AUDIT_FINGERPRINT = [
 ]
 
 # the same at draws=25, seed=0: two full blocks of draws and a remainder,
-# recorded before the audit stacked its blocks
+# recorded before the audit stacked its blocks, on the same SkylakeX kernels
 BLOCKS_DRAWS = 25
 BLOCKS_FINGERPRINT = [
     1.797718959147428e-09,

@@ -1,12 +1,21 @@
 """Unit tests for the bundled reference tables and printed-error parsing."""
 
+import io
 import json
+import os
 import re
 import shutil
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blasius_net.cli import run_cli
 from blasius_net.report import relative_error
 from blasius_net.tables import (
     FIXTURES_ENV_VAR,
@@ -171,6 +180,26 @@ def _etas_out_of_order(data):
     rows[2], rows[3] = rows[3], rows[2]
 
 
+def _other_quantity(data):
+    data["quantity"] = "fp"
+
+
+def _overflowing_integer(data):
+    # float() of this integer raises OverflowError
+    data["rows"][2][2][1] = 10**400
+
+
+def _integer_past_digit_limit(data):
+    # Python's int parser refuses literals longer than 4300 digits
+    data["rows"][2][1] = "LONG"
+    return json.dumps(data).replace('"LONG"', "9" * 5000).encode()
+
+
+def _latin1_label(data):
+    data["references"][0] = "h\xf6warth"
+    return json.dumps(data, ensure_ascii=False).encode("latin-1")
+
+
 @pytest.mark.parametrize("mangle, detail", [
     pytest.param(None, "not JSON", id="bad_json"),
     pytest.param(_drop_quantity, "missing key 'quantity'", id="missing_key"),
@@ -184,6 +213,12 @@ def _etas_out_of_order(data):
                  id="bad_printed_error"),
     pytest.param(_etas_out_of_order, r"rows\[3\]: eta 0.6 does not exceed the previous 0.8",
                  id="etas_out_of_order"),
+    pytest.param(_other_quantity, "quantity 'fp', expected 'f'", id="other_quantity"),
+    pytest.param(_overflowing_integer, r"rows\[2\]: inf is not a finite number",
+                 id="overflowing_integer"),
+    pytest.param(_integer_past_digit_limit, r"rows\[2\]: inf is not a finite number",
+                 id="integer_past_digit_limit"),
+    pytest.param(_latin1_label, "not JSON: 'utf-8' codec can't decode", id="not_utf8"),
 ])
 def test_malformed_fixture_is_named(mangle, detail, tmp_path, monkeypatch):
     copy = tmp_path / "fixtures"
@@ -193,9 +228,71 @@ def test_malformed_fixture_is_named(mangle, detail, tmp_path, monkeypatch):
         path.write_text(path.read_text()[:-20])
     else:
         data = json.loads(path.read_text())
-        mangle(data)
-        path.write_text(json.dumps(data))
+        text = mangle(data)
+        path.write_bytes(json.dumps(data).encode() if text is None else text)
     monkeypatch.setenv(FIXTURES_ENV_VAR, str(copy))
     with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: {detail}"):
         load_table("T1")
     assert load_table("T2").table_id == "T2"
+
+
+MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "validate_model.txt"
+TABLE1 = (fixtures_dir() / "table1.json").read_text()
+
+
+def _node_paths(node, path=()):
+    """Key paths to every node of a parsed JSON document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _node_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.floats()
+    | st.integers(300, 5000).map(lambda digits: 10**digits),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _dumps(data) -> str:
+    # json.dumps, like int(), refuses integers past Python's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(data)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture(scope="module")
+def mangled_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mangled")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_node_paths(json.loads(TABLE1)))), value=JSON_VALUES)
+def test_mangled_fixture_fails_only_by_name(mangled_dir, path, value):
+    data = json.loads(TABLE1)
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        data = value
+    (mangled_dir / "table1.json").write_text(_dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {FIXTURES_ENV_VAR: str(mangled_dir)}):
+        try:
+            table = load_table("T1")
+        except TableFormatError:
+            table = None
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["compare", "--model", str(MODEL), "--table", "T1"])
+    assert code in (0, 1)
+    assert err.getvalue().count("error:") == (code == 1)
+    assert "Traceback" not in err.getvalue()
+    if table is not None and table.etas[0] >= 0.0:
+        assert code == 0  # etas from the wall on are in the model's domain or skipped
