@@ -48,9 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--domain-end", type=float, default=6.0)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--iterations", type=int, default=50000)
-    solve.add_argument("--lr-v", type=float, default=1e-4)
-    solve.add_argument("--lr-u", type=float, default=1e-4)
-    solve.add_argument("--lr-w", type=float, default=1e-4)
+    solve.add_argument("--lr", type=float, default=1e-4, help="learning rate")
     solve.add_argument("--penalty", type=float, default=DEFAULT_PENALTY_WEIGHT,
                        help="far-slope penalty weight (penalty mode only)")
     solve.add_argument("--runs", type=int, default=1,
@@ -100,7 +98,7 @@ def _cmd_solve(args) -> int:
         hidden_count=args.hidden,
         trial=spec,
         grid=CollocationGrid.equidistant(args.points, args.domain_end),
-        lr_v=args.lr_v, lr_u=args.lr_u, lr_w=args.lr_w,
+        lr=args.lr,
         penalty_weight=args.penalty,
         max_iterations=args.iterations,
         seed=args.seed,

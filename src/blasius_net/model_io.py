@@ -78,7 +78,11 @@ def _parse_weights(text: str, line_number: int, key: str, hidden: int) -> np.nda
 
 def load_model(path) -> tuple[NetworkParams, TrialSpec]:
     """Parse a model file back into (params, spec); exact inverse of save_model."""
-    raw = Path(path).read_text().splitlines()
+    data = Path(path).read_bytes()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     if len(raw) < 7:
         raise ModelFormatError(len(raw) + 1, "model file truncated (expected 7 lines)")
     if raw[0] != MODEL_HEADER:

@@ -11,8 +11,8 @@ returns loss and exact parameter gradient in one fused pass.  Training hits
 this path tens of thousands of times, so it works on a raw (S, 3, H) stack
 theta of S weight arrays (rows v, u, w, the layout of
 NetworkParams.weights) and returns one total per entry and a fresh
-(S, 3, H) gradient, rows d_v, d_u, d_w.  report, gradient and the
-module-level loss and loss_gradient wrappers evaluate a stack of one.
+(S, 3, H) gradient, rows d_v, d_u, d_w.  report and the module-level
+loss and loss_gradient wrappers evaluate a stack of one.
 """
 
 from __future__ import annotations
@@ -137,12 +137,11 @@ class LossEvaluator:
             self._err = np.empty(y.shape[0])
             self._c_y1_end = jet.cotangent[:, m, 0, 0]
 
-    def evaluate(self, theta: np.ndarray, need_grad: bool = True):
-        """Return (totals, penalty_terms, grad) for the float64 (S, 3, H) weight stack theta.
+    def evaluate(self, theta: np.ndarray):
+        """Return (totals, grad) for the float64 (S, 3, H) weight stack theta.
 
-        totals and penalty_terms are lists of S floats; grad is the fresh
-        (S, 3, H) gradient, rows d_v, d_u, d_w, or None when need_grad is
-        false.
+        totals is a list of S floats; grad is the fresh (S, 3, H) gradient,
+        rows d_v, d_u, d_w.
 
         Overflow is deliberately left unguarded: a diverging parameter set
         yields a non-finite total, which is the caller's divergence signal.
@@ -165,7 +164,6 @@ class LossEvaluator:
         rows, m = self._rows, self.point_count
         values = r.tolist()
         totals = []
-        penalties = []
         lam = self.penalty_weight
         errs = [0.0] * theta.shape[0]
         if self.penalty_active:
@@ -176,12 +174,7 @@ class LossEvaluator:
             total = 0.0
             for val in values[start:start + m]:
                 total += val * val
-            penalty = lam * err * err
-            totals.append(total + penalty)
-            penalties.append(penalty)
-
-        if not need_grad:
-            return totals, penalties, None
+            totals.append(total + lam * err * err)
 
         mul(r, self._y2, self._c_y0)
         mul(r, self._y0, self._c_y2)
@@ -189,17 +182,14 @@ class LossEvaluator:
         if self.penalty_active:
             # the zero residual left 0 in the end row's y'' and y''' columns
             mul(self._err, 2.0 * lam, self._c_y1_end)
-        return totals, penalties, jet.pull()
+        return totals, jet.pull()
 
     def report(self, params: NetworkParams) -> LossReport:
         with np.errstate(all="ignore"):
-            totals, penalties, _ = self.evaluate(params.weights[None], need_grad=False)
+            totals, _ = self.evaluate(params.weights[None])
+        err = float(self._err[0]) if self.penalty_active else 0.0
         return LossReport(total=totals[0], residuals=self._r[:self.point_count],
-                          penalty_term=penalties[0])
-
-    def gradient(self, params: NetworkParams) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return self.evaluate(params.weights[None])[2][0]
+                          penalty_term=self.penalty_weight * err * err)
 
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
@@ -211,4 +201,5 @@ def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
 def loss_gradient(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
                   penalty_weight: float = DEFAULT_PENALTY_WEIGHT) -> np.ndarray:
     """Exact (3, H) gradient of the collocation loss with respect to (v, u, w)."""
-    return LossEvaluator(spec, grid, penalty_weight).gradient(params)
+    with np.errstate(all="ignore"):
+        return LossEvaluator(spec, grid, penalty_weight).evaluate(params.weights[None])[1][0]

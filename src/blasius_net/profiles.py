@@ -97,8 +97,12 @@ def write_profile_csv(profile: SolutionProfile, destination, comments: dict | No
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path through a ``<name>.tmp`` sibling and an atomic rename."""
+    """Write text to path through a ``<name>.tmp`` sibling and an atomic rename; failure unlinks it."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -9,12 +9,12 @@ the loss differently, and so move the last bits of a run.
 
 One loop trains every seed of a sweep in lockstep: the weights of S seeds
 are one (S, 3, H) array theta with rows v, u, w per seed (the layout of
-NetworkParams.weights), with one velocity of the same shape and one (3, 1)
-column of per-group learning rates, so the momentum step is three
-whole-array operations for all seeds.  A seed leaves the stack when it
-diverges, reaches the loss target or uses up its budget.  Every entry is
-computed independently of the others, so a seed's run is the same bit for
-bit alone (train is a stack of one) and at any position of a seed_sweep.
+NetworkParams.weights), with one velocity of the same shape and one
+learning rate, so the momentum step is three whole-array operations for all
+seeds.  A seed leaves the stack when it diverges, reaches the loss target or
+uses up its budget.  Every entry is computed independently of the others, so
+a seed's run is the same bit for bit alone (train is a stack of one) and at
+any position of a seed_sweep.
 """
 
 from __future__ import annotations
@@ -119,9 +119,7 @@ class TrainingConfig:
     hidden_count: int = 5
     trial: TrialSpec = field(default_factory=lambda: TrialSpec(TrialMode.PENALTY, 6.0))
     grid: CollocationGrid | None = None
-    lr_v: float = 1e-4
-    lr_u: float = 1e-4
-    lr_w: float = 1e-4
+    lr: float = 1e-4
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT
     max_iterations: int = 50000
     loss_target: float = 1e-8
@@ -130,10 +128,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.hidden_count < 1:
             raise ValueError("hidden_count must be at least 1")
-        for name in ("lr_v", "lr_u", "lr_w"):
-            rate = float(getattr(self, name))
-            if not np.isfinite(rate) or rate <= 0.0:
-                raise ValueError(f"{name} must be finite and positive")
+        if not np.isfinite(self.lr) or self.lr <= 0.0:
+            raise ValueError("lr must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not np.isfinite(self.loss_target) or self.loss_target < 0.0:
@@ -170,13 +166,12 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
     theta = np.array([init_params(seed, cfg.hidden_count).weights for seed in seeds])
     velocity = np.zeros_like(theta)
-    rates = np.array([[cfg.lr_v], [cfg.lr_u], [cfg.lr_w]])
     outcomes = [None] * len(seeds)
     slots = list(range(len(seeds)))  # outcome slot of each stack entry
     budget, target = cfg.max_iterations, cfg.loss_target
     used = 0
     with np.errstate(all="ignore"):
-        totals, _, grad = evaluator.evaluate(theta)
+        totals, grad = evaluator.evaluate(theta)
         initial = totals  # the loss of each seed before its first step, by slot
         while True:
             # sum() is NaN-safe where min() is not: min skips a NaN that is not first
@@ -195,12 +190,12 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
                     return outcomes
                 slots = [slots[entry] for entry in keep]
                 theta, velocity, grad = theta[keep], velocity[keep], grad[keep]
-            # momentum step, in place; row g of each grad entry takes its group's rate rates[g]
+            # momentum step, in place
             velocity *= MOMENTUM_COEFF
-            velocity += rates * grad
+            velocity += cfg.lr * grad
             theta -= velocity
             used += 1
-            totals, _, grad = evaluator.evaluate(theta)
+            totals, grad = evaluator.evaluate(theta)
 
 
 def train(cfg: TrainingConfig) -> TrainingRun:

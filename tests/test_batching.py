@@ -29,7 +29,7 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 # (seed 0 at iteration 6); loss target 0.05, which seeds 1, 3 and 6 reach early
 CONFIGS = {
     "plain": TrainingConfig(max_iterations=40),
-    "diverging": TrainingConfig(lr_v=3e-4, lr_u=3e-4, lr_w=3e-4, max_iterations=40),
+    "diverging": TrainingConfig(lr=3e-4, max_iterations=40),
     "early_stop": TrainingConfig(loss_target=0.05, max_iterations=160),
     "paper": TrainingConfig(trial=TrialSpec(TrialMode.PAPER, 6.0), max_iterations=20),
 }
@@ -126,7 +126,7 @@ def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, m
 def test_fd_loss_gradient_equals_per_perturbation_differences(flat, mode):
     params = as_params(flat)
     evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(10, 6.0))
-    (stacked,) = fd_param_gradient(lambda stack: evaluator.evaluate(stack, need_grad=False)[0],
+    (stacked,) = fd_param_gradient(lambda stack: evaluator.evaluate(stack)[0],
                                    params.weights[None])
     single = per_perturbation_gradient(lambda p: evaluator.report(p).total, params, 1e-6)
     assert stacked.tobytes() == single.tobytes()
@@ -142,10 +142,9 @@ def test_evaluator_entry_matches_stack_of_one(flat, count, data):
     stack[position] = params.weights
     evaluator = LossEvaluator(TrialSpec(TrialMode.PENALTY, 6.0),
                               CollocationGrid.equidistant(10, 6.0))
-    totals, penalties, grad = evaluator.evaluate(stack)
-    alone_totals, alone_penalties, alone_grad = evaluator.evaluate(params.weights[None])
+    totals, grad = evaluator.evaluate(stack)
+    alone_totals, alone_grad = evaluator.evaluate(params.weights[None])
     assert totals[position] == alone_totals[0]
-    assert penalties[position] == alone_penalties[0]
     assert grad[position].tobytes() == alone_grad[0].tobytes()
 
 
@@ -242,7 +241,7 @@ def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x
     if kind == "loss":
         evaluator = LossEvaluator(TrialSpec(TrialMode.PENALTY, 6.0),
                                   CollocationGrid.equidistant(10, 6.0))
-        objective = lambda stack: evaluator.evaluate(stack, need_grad=False)[0]  # noqa: E731
+        objective = lambda stack: evaluator.evaluate(stack)[0]  # noqa: E731
     else:
         jet = jet_builder(kind)([x])
         objective = lambda stack: jet.forward(stack)[:, 0, order, 0]  # noqa: E731

@@ -72,8 +72,7 @@ def test_solve_sweeps_each_seed_once(monkeypatch, capsys):
 
 
 def test_solve_reports_diverged_seeds(capsys):
-    args = ["solve", "--iterations", "1500", "--runs", "3",
-            "--lr-v", "3e-4", "--lr-u", "3e-4", "--lr-w", "3e-4"]
+    args = ["solve", "--iterations", "1500", "--runs", "3", "--lr", "3e-4"]
     code = run_cli(args)
     captured = capsys.readouterr()
     assert code == 0
@@ -81,7 +80,7 @@ def test_solve_reports_diverged_seeds(capsys):
 
 
 def test_solve_all_seeds_diverged(capsys):
-    args = ["solve", "--iterations", "1500", "--lr-v", "5e-3", "--lr-u", "5e-3", "--lr-w", "5e-3"]
+    args = ["solve", "--iterations", "1500", "--lr", "5e-3"]
     code = run_cli(args + ["--runs", "2"])
     captured = capsys.readouterr()
     assert code == 1
@@ -122,7 +121,7 @@ def test_solve_defaults_are_the_training_config():
                           cfg.grid.points)
     assert args.seed == cfg.seed
     assert args.iterations == cfg.max_iterations
-    assert (args.lr_v, args.lr_u, args.lr_w) == (cfg.lr_v, cfg.lr_u, cfg.lr_w)
+    assert args.lr == cfg.lr
     assert args.penalty == cfg.penalty_weight
 
 
@@ -281,6 +280,16 @@ def test_profile_rejects_single_point(quick_model, capsys):
     assert "--points" in captured.err
 
 
+def test_profile_failed_write_leaves_no_temp_file(quick_model, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # the rename onto a directory fails
+    code = run_cli(["profile", "--model", str(quick_model), "--points", "5", "--out", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+
+
 def test_missing_model_file(capsys):
     code = run_cli(["profile", "--model", "does-not-exist.txt"])
     captured = capsys.readouterr()
@@ -295,3 +304,6 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert run_cli(["series"]) == 2  # --eta is required
     capsys.readouterr()
+    for flag in ("--lr-v", "--lr-u", "--lr-w"):
+        assert run_cli(["solve", flag, "1e-4"]) == 2
+        capsys.readouterr()

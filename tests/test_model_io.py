@@ -1,8 +1,14 @@
 """Unit tests for the plain-text model file format."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blasius_net.cli import run_cli
 from blasius_net.model_io import (
     MODEL_HEADER,
     ModelFormatError,
@@ -69,7 +75,8 @@ def test_save_is_byte_deterministic(saved, tmp_path):
 def corrupt(path, saved_path, mutate):
     lines = saved_path.read_text().splitlines()
     mutate(lines)
-    path.write_text("\n".join(lines) + "\n")
+    # a lone surrogate escape such as "\udcff" writes the raw byte 0xff
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -101,6 +108,7 @@ def test_load_rejects_foreign_file(saved, tmp_path):
         (3, "hidden=3", 5),  # three declared, five present
         (4, "w=1,2,3,4,5", 5),  # field out of order
         (4, "v=1,2,3,nan,5", 5),
+        (5, "u=1,2,\udcff,4,5", 6),  # not UTF-8
     ],
 )
 def test_load_reports_offending_line(saved, tmp_path, line_index, text, expected_line):
@@ -128,3 +136,39 @@ def test_load_rejects_trailing_content(saved, tmp_path):
     fine = tmp_path / "fine.txt"
     fine.write_text(path.read_text() + "\n\n")
     load_model(fine)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edited") / "model.txt"
+    save_model(init_params(3, 5), TrialSpec(TrialMode.PENALTY, 6.0), path)
+    return path, path.read_bytes().splitlines(keepends=True)
+
+
+@PROPERTY
+@given(index=st.integers(0, 6), edit=st.sampled_from(["replace", "delete", "duplicate"]),
+       content=st.one_of(st.text().map(str.encode), st.binary()))
+def test_edited_model_file_loads_or_names_its_fault(model_file, index, edit, content):
+    path, lines = model_file
+    edited = list(lines)
+    if edit == "replace":
+        edited[index] = content + b"\n"
+    elif edit == "delete":
+        del edited[index]
+    else:
+        edited.insert(index, edited[index])
+    path.write_bytes(b"".join(edited))
+    try:
+        load_model(path)
+        failed = False
+    except ModelFormatError:  # ModelVersionError included
+        failed = True
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(["profile", "--model", str(path), "--points", "3"])
+    assert code == 1 if failed else code in (0, 1)
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()

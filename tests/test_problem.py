@@ -123,6 +123,21 @@ def test_loss_matches_bruteforce_recomputation():
             assert np.allclose(report.residuals, residuals, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [PAPER, PENALTY], ids=["paper", "penalty"])
+@pytest.mark.parametrize("weight", [0.0, 2.5, 10.0])
+@pytest.mark.parametrize("points", [5, 10, 31])
+def test_loss_report_parts_sum_to_total_bit_for_bit(spec, weight, points):
+    # the LossReport identity: squares added left to right in grid order, then the penalty
+    rng = np.random.default_rng(points * 100 + int(weight * 10))
+    evaluator = LossEvaluator(spec, CollocationGrid.equidistant(points, 6.0), weight)
+    for _ in range(20):
+        report = evaluator.report(random_params(rng, 5, scale=2.0))
+        total = 0.0
+        for r in report.residuals.tolist():
+            total += r * r
+        assert total + report.penalty_term == report.total
+
+
 def test_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(53)
     grid = CollocationGrid.equidistant(10, 6.0)

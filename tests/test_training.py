@@ -124,7 +124,7 @@ def test_config_defaults_and_grid_fill_in():
     cfg = TrainingConfig()
     assert cfg.hidden_count == 5
     assert cfg.trial == TrialSpec(TrialMode.PENALTY, 6.0)
-    assert cfg.lr_v == cfg.lr_u == cfg.lr_w == 1e-4
+    assert cfg.lr == 1e-4
     assert cfg.penalty_weight == 10.0
     assert cfg.max_iterations == 50000
     assert cfg.loss_target == 1e-8
@@ -136,9 +136,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(hidden_count=0)
     with pytest.raises(ValueError):
-        TrainingConfig(lr_v=0.0)
+        TrainingConfig(lr=0.0)
     with pytest.raises(ValueError):
-        TrainingConfig(lr_u=-1e-3)
+        TrainingConfig(lr=-1e-3)
     with pytest.raises(ValueError):
         TrainingConfig(max_iterations=0)
     with pytest.raises(ValueError):
@@ -166,11 +166,10 @@ def test_train_replays_momentum_update():
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
     start = init_params(cfg.seed, cfg.hidden_count)
     params = list(start.weights)
-    rates = (cfg.lr_v, cfg.lr_u, cfg.lr_w)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
     for _ in range(3):
-        grads = evaluator.evaluate(np.array(params)[None])[2][0]
-        velocity = [MOMENTUM_COEFF * vel + lr * g for vel, lr, g in zip(velocity, rates, grads)]
+        grads = evaluator.evaluate(np.array(params)[None])[1][0]
+        velocity = [MOMENTUM_COEFF * vel + cfg.lr * g for vel, g in zip(velocity, grads)]
         params = [p - vel for p, vel in zip(params, velocity)]
     run = train(cfg)
     assert np.array_equal(run.final_params.weights, params)
@@ -217,7 +216,7 @@ def test_train_paper_mode_descends():
 
 
 def test_training_divergence_reports_iteration():
-    cfg = TrainingConfig(lr_v=3e-4, lr_u=3e-4, lr_w=3e-4, seed=0, max_iterations=1500)
+    cfg = TrainingConfig(lr=3e-4, seed=0, max_iterations=1500)
     with pytest.raises(TrainingDivergedError) as excinfo:
         train(cfg)
     assert excinfo.value.iteration == 6
@@ -225,7 +224,7 @@ def test_training_divergence_reports_iteration():
 
 
 def test_seed_sweep_marks_divergent_seeds():
-    cfg = TrainingConfig(lr_v=3e-4, lr_u=3e-4, lr_w=3e-4, seed=0, max_iterations=1500)
+    cfg = TrainingConfig(lr=3e-4, seed=0, max_iterations=1500)
     runs = seed_sweep(cfg, 3)
     assert runs[0] is None
     assert runs[1] is not None
@@ -235,7 +234,7 @@ def test_seed_sweep_marks_divergent_seeds():
 
 
 def test_multi_run_picks_best_survivor():
-    cfg = TrainingConfig(lr_v=3e-4, lr_u=3e-4, lr_w=3e-4, seed=0, max_iterations=1500)
+    cfg = TrainingConfig(lr=3e-4, seed=0, max_iterations=1500)
     best = multi_run(cfg, 3)
     seed1 = train(dataclasses.replace(cfg, seed=1))
     assert best.final_loss == seed1.final_loss
@@ -259,6 +258,6 @@ def test_multi_run_single_seed_equals_train():
 
 
 def test_multi_run_all_diverged():
-    cfg = TrainingConfig(lr_v=5e-3, lr_u=5e-3, lr_w=5e-3, seed=0, max_iterations=1500)
+    cfg = TrainingConfig(lr=5e-3, seed=0, max_iterations=1500)
     with pytest.raises(AllRunsDivergedError):
         multi_run(cfg, 2)
