@@ -23,12 +23,11 @@ import numpy as np
 from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
 from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
-from .problem import CollocationGrid, DEFAULT_PENALTY_WEIGHT
 from .profiles import atomic_write_text, format_float, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
-from .training import TrainingConfig, best_run, seed_sweep, train
+from .training import AllRunsDivergedError, TrainingConfig, best_run, seed_sweep, train
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
@@ -42,14 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="train a network on the collocation loss")
-    solve.add_argument("--mode", choices=[m.value for m in TrialMode], default="penalty")
-    solve.add_argument("--hidden", type=int, default=5)
-    solve.add_argument("--points", type=int, default=10)
-    solve.add_argument("--domain-end", type=float, default=6.0)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--iterations", type=int, default=50000)
-    solve.add_argument("--lr", type=float, default=1e-4, help="learning rate")
-    solve.add_argument("--penalty", type=float, default=DEFAULT_PENALTY_WEIGHT,
+    setup = TrainingConfig()  # the documented setup: every training flag defaults to it
+    solve.add_argument("--mode", choices=[m.value for m in TrialMode],
+                       default=setup.trial.mode.value)
+    solve.add_argument("--hidden", type=int, default=setup.hidden_count)
+    solve.add_argument("--points", type=int, default=setup.points)
+    solve.add_argument("--domain-end", type=float, default=setup.trial.domain_end)
+    solve.add_argument("--seed", type=int, default=setup.seed)
+    solve.add_argument("--iterations", type=int, default=setup.max_iterations)
+    solve.add_argument("--lr", type=float, default=setup.lr, help="learning rate")
+    solve.add_argument("--penalty", type=float, default=setup.penalty_weight,
                        help="far-slope penalty weight (penalty mode only)")
     solve.add_argument("--runs", type=int, default=1,
                        help="train this many consecutive seeds, keep the best")
@@ -97,7 +98,7 @@ def _cmd_solve(args) -> int:
     cfg = TrainingConfig(
         hidden_count=args.hidden,
         trial=spec,
-        grid=CollocationGrid.equidistant(args.points, args.domain_end),
+        points=args.points,
         lr=args.lr,
         penalty_weight=args.penalty,
         max_iterations=args.iterations,
@@ -107,8 +108,7 @@ def _cmd_solve(args) -> int:
     runs = [train(cfg)] if args.runs == 1 else seed_sweep(cfg, args.runs)
     best = best_run(runs)
     if best is None:
-        print(f"error: all {args.runs} seeds diverged", file=sys.stderr)
-        return 1
+        raise AllRunsDivergedError(f"all {args.runs} seeds diverged")
     finals = [r.final_loss for r in runs if r is not None]
     diverged = len(runs) - len(finals)
     print(f"mode={args.mode} hidden={args.hidden} points={args.points} "
@@ -188,8 +188,7 @@ def _cmd_check_gradients(args) -> int:
 def _cmd_profile(args) -> int:
     params, spec = load_model(args.model)
     if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return 1
+        raise ValueError("--points must be at least 2")
     etas = np.linspace(0.0, spec.domain_end, args.points)
     profile = evaluate_profile(spec, params, etas)
     if args.out:
@@ -213,10 +212,10 @@ def run_cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except Exception as exc:  # CLI boundary: report and signal failure
+    except Exception as exc:  # CLI boundary: the one place an error line is printed
         # str() of a KeyError is the repr of its message, quotes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        sys.stderr.write(f"error: {message}\n")
         return 1
 
 

@@ -110,9 +110,9 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
     if not math.isfinite(sigma0) or sigma0 < 0.0:
         raise ValueError("sigma0 must be finite and non-negative")
     if not (math.isfinite(eta_max) and eta_max > 0.0):
-        raise ValueError("eta_max must be positive")
+        raise ValueError("eta_max must be finite and positive")
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive")
+        raise ValueError("step must be finite and positive")
 
     n_full = int(math.floor(eta_max / step + 1e-12))
     remainder = eta_max - n_full * step
@@ -179,10 +179,10 @@ def shoot(eta_far: float = 10.0, tol: float = 1e-10, step: float = 1e-3) -> floa
     a^3 = lambda^(-3/2).  tol bounds |f''(eta_far)| of that run: a far field
     that has not settled raises IntegrationError.
     """
-    if eta_far < 8.0:
-        raise ValueError("eta_far must be at least 8 for a far-field slope to make sense")
+    if not (math.isfinite(eta_far) and eta_far >= 8.0):  # NaN fails both
+        raise ValueError("eta_far must be finite and at least 8 for a far-field slope to make sense")
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive")
+        raise ValueError("tol must be finite and positive")
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive")
+        raise ValueError("step must be finite and positive")
     return _far_slope(1.0, eta_far, step, tol) ** -1.5

@@ -56,13 +56,10 @@ class CollocationGrid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def equidistant(cls, count: int = 10, domain_end: float = 6.0) -> "CollocationGrid":
+    def equidistant(cls, count: int, domain_end: float) -> "CollocationGrid":
         if count < 2:
             raise ValueError("equidistant grid needs at least two points")
         return cls(np.linspace(0.0, domain_end, count))
-
-    def __len__(self) -> int:
-        return int(self.points.size)
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,6 @@ class LossEvaluator:
         if not np.isfinite(lam) or lam < 0.0:
             raise ValueError("penalty_weight must be finite and non-negative")
         pts = grid.points
-        self.spec = spec
-        self.grid = grid
         self.point_count = m = pts.size
         # the paper family pins the far end through its envelope: no penalty
         self.penalty_active = spec.mode is TrialMode.PENALTY and lam > 0.0

@@ -18,13 +18,14 @@ import numpy as np
 __all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profile_csv"]
 
 CSV_HEADER = "eta,f,fp,fpp"
-CSV_ROW = "%.17g,%.17g,%.17g,%.17g"  # format_float on each column, one % per row
+FLOAT_FORMAT = "%.17g"
+CSV_ROW = ",".join([FLOAT_FORMAT] * 4)  # format_float on each column, one % per row
 JOIN_TOL = 1e-12  # largest |eta difference| at which index_of matches a row
 
 
 def format_float(value: float) -> str:
     """17 significant digits: enough to round-trip any IEEE double exactly."""
-    return format(float(value), ".17g")
+    return FLOAT_FORMAT % float(value)
 
 
 def _column(values, name: str) -> np.ndarray:
@@ -58,7 +59,7 @@ class SolutionProfile:
             raise ValueError("all profile columns must share eta's length")
         if eta.size < 1:
             raise ValueError("profile must contain at least one row")
-        if eta.size > 1 and np.any(np.diff(eta) <= 0.0):
+        if np.any(eta[1:] <= eta[:-1]):  # np.diff would overflow on -max, max
             raise ValueError("eta must be strictly increasing")
         object.__setattr__(self, "eta", eta)
         for name, col in cols.items():

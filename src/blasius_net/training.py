@@ -118,14 +118,18 @@ class TrainingConfig:
 
     hidden_count: int = 5
     trial: TrialSpec = field(default_factory=lambda: TrialSpec(TrialMode.PENALTY, 6.0))
-    grid: CollocationGrid | None = None
+    points: int = 10  # equidistant collocation points on [0, trial.domain_end]
     lr: float = 1e-4
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT
     max_iterations: int = 50000
     loss_target: float = 1e-8
     seed: int = 0
+    grid: CollocationGrid = field(init=False, compare=False)
 
     def __post_init__(self):
+        # the grid comes first, so its point count is the first fault reported
+        object.__setattr__(self, "grid",
+                           CollocationGrid.equidistant(self.points, self.trial.domain_end))
         if self.hidden_count < 1:
             raise ValueError("hidden_count must be at least 1")
         if not np.isfinite(self.lr) or self.lr <= 0.0:
@@ -136,12 +140,6 @@ class TrainingConfig:
             raise ValueError("loss_target must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        grid = self.grid
-        if grid is None:
-            grid = CollocationGrid.equidistant(10, self.trial.domain_end)
-            object.__setattr__(self, "grid", grid)
-        if np.any(grid.points > self.trial.domain_end):
-            raise ValueError("grid extends past the trial domain end")
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def seed_sweep(cfg: TrainingConfig, run_count: int) -> list[TrainingRun | None]:
     """Train seeds cfg.seed .. cfg.seed + run_count - 1 in lockstep; None marks a diverged seed."""
     if run_count < 1:
         raise ValueError("run_count must be at least 1")
-    seeds = [(cfg.seed + offset) & _MASK64 for offset in range(run_count)]
+    seeds = [cfg.seed + offset for offset in range(run_count)]
     return [None if isinstance(outcome, TrainingDivergedError) else outcome
             for outcome in _train_lockstep(cfg, seeds)]
 

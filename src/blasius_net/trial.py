@@ -53,7 +53,7 @@ class TrialSpec:
     """Trial family plus the right end L of the domain [0, L]; paper mode needs L = 6."""
 
     mode: TrialMode
-    domain_end: float = 6.0
+    domain_end: float
 
     def __post_init__(self):
         if not isinstance(self.mode, TrialMode):

@@ -11,9 +11,11 @@ profile CSVs that the package writes; no command reads them back.
 
 import io
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from blasius_net.network import NetworkParams
 from blasius_net.profiles import CSV_HEADER, SolutionProfile
@@ -22,6 +24,12 @@ from blasius_net.trial import envelope_terms, offset_terms
 # wall curvature f''(0) of the Blasius profile: Boyd, "The Blasius function
 # in the complex plane", Exp. Math. 1999
 SIGMA_REF = 0.332057336215196
+
+# finite doubles, with signed zeros, the smallest subnormals, the smallest
+# normals and the largest magnitudes drawn often
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+                sys.float_info.max, -sys.float_info.max]
+DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
 
 
 def central_diff(fn, x, step=1e-5):

@@ -115,7 +115,7 @@ def test_solve_defaults_are_the_training_config():
     cfg = TrainingConfig()
     assert args.mode == cfg.trial.mode.value
     assert args.hidden == cfg.hidden_count
-    assert args.points == len(cfg.grid)
+    assert args.points == cfg.points
     assert args.domain_end == cfg.trial.domain_end
     assert np.array_equal(problem.CollocationGrid.equidistant(args.points, args.domain_end).points,
                           cfg.grid.points)
@@ -295,6 +295,23 @@ def test_missing_model_file(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--runs", "2", "--iterations", "1500", "--lr", "5e-3"],
+    ["profile", "--model", "MODEL", "--points", "1"],
+    ["oracle", "--tol", "1e-30"],
+    ["oracle", "--eta-max", "nan"],
+    ["compare", "--model", "MODEL", "--table", "1", "--column", "bogus"],
+    ["series", "--eta", "-1"],
+])
+def test_failures_print_one_error_line(argv, quick_model, capsys):
+    # run_cli is the one place that prints an error line; commands raise
+    code = run_cli([str(quick_model) if arg == "MODEL" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len([line for line in captured.err.splitlines() if line.startswith("error: ")]) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_usage_errors_exit_two(capsys):

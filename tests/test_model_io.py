@@ -16,8 +16,11 @@ from blasius_net.model_io import (
     load_model,
     save_model,
 )
+from blasius_net.network import NetworkParams
 from blasius_net.training import XorShift64Star, _draw_params, init_params
 from blasius_net.trial import TrialMode, TrialSpec
+
+from helpers import DOUBLES
 
 
 @pytest.fixture
@@ -139,6 +142,21 @@ def test_load_rejects_trailing_content(saved, tmp_path):
 
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(weights=st.integers(1, 6).flatmap(lambda h: st.lists(DOUBLES, min_size=3 * h,
+                                                              max_size=3 * h)),
+       spec=st.one_of(st.just(TrialSpec(TrialMode.PAPER, 6.0)),
+                      st.builds(TrialSpec, st.just(TrialMode.PENALTY),
+                                st.floats(0.0, exclude_min=True, allow_infinity=False))))
+def test_save_load_keeps_weight_bytes_and_spec(tmp_path_factory, weights, spec):
+    params = NetworkParams(*np.reshape(weights, (3, -1)))
+    path = tmp_path_factory.getbasetemp() / "round_trip_model.txt"
+    save_model(params, spec, path)
+    loaded, loaded_spec = load_model(path)
+    assert loaded.weights.tobytes() == params.weights.tobytes()
+    assert loaded_spec == spec
 
 
 @pytest.fixture(scope="module")

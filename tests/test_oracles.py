@@ -1,6 +1,7 @@
 """Unit tests for the classical oracles: power series, RK4 marching, shooting."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -157,6 +158,11 @@ def test_rk4_validation():
         rk4_profile(0.3, 1.0, step=0.0)
     with pytest.raises(ValueError):
         rk4_profile(np.inf, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta_max must be finite and positive"):
+            rk4_profile(0.3, bad)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            rk4_profile(0.3, 1.0, step=bad)
 
 
 @pytest.mark.parametrize("sigma0, eta_max, step, digest", [
@@ -211,6 +217,14 @@ def test_shoot_validation():
         shoot(tol=0.0)
     with pytest.raises(ValueError):
         shoot(step=-1e-3)
+    # NaN fails every comparison, so each gate must reject it by name
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta_far must be finite and at least 8"):
+            shoot(eta_far=bad)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            shoot(tol=bad)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            shoot(step=bad)
     # too coarse a step leaves |f''(eta_far)| far above tol: refused, not returned
     with pytest.raises(IntegrationError, match="far field not settled"):
         shoot(step=0.5)

@@ -4,10 +4,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blasius_net.profiles import CSV_HEADER, SolutionProfile, format_float, write_profile_csv
 
-from helpers import read_profile_csv
+from helpers import DOUBLES, read_profile_csv
 
 
 def small_profile():
@@ -28,6 +30,9 @@ def test_profile_validation():
         SolutionProfile(eta=eta, f=np.array([0.0, np.nan]), fp=ones, fpp=ones)
     with pytest.raises(ValueError):
         SolutionProfile(eta=np.array([]), f=np.array([]), fp=np.array([]), fpp=np.array([]))
+    # the widest increasing pair is accepted without an overflow warning
+    widest = np.array([-np.finfo(float).max, np.finfo(float).max])
+    assert len(SolutionProfile(eta=widest, f=ones, fp=ones, fpp=ones)) == 2
 
 
 def test_profile_rows_and_lookup():
@@ -87,6 +92,19 @@ def test_csv_rows_match_per_value_format_float():
                                    special[2:] + special[:2])]
     assert buffer.getvalue() == "\n".join(expected) + "\n"
     assert "-0," in buffer.getvalue() and "4.9406564584124654e-324" in buffer.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(columns=st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(DOUBLES, min_size=n, max_size=n, unique=True).map(sorted),
+    *[st.lists(DOUBLES, min_size=n, max_size=n)] * 3)))
+def test_csv_keeps_every_column_bytes(columns):
+    profile = SolutionProfile(*columns)
+    buffer = io.StringIO()
+    write_profile_csv(profile, buffer)
+    back = read_profile_csv(io.StringIO(buffer.getvalue()))
+    for name in ("eta", "f", "fp", "fpp"):
+        assert getattr(back, name).tobytes() == getattr(profile, name).tobytes()
 
 
 def test_csv_stream_round_trip():

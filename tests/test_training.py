@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blasius_net.problem import CollocationGrid, LossEvaluator
+from blasius_net.problem import LossEvaluator
 from blasius_net.training import (
     INIT_SCALE,
     MOMENTUM_COEFF,
@@ -145,8 +145,8 @@ def test_config_validation():
         TrainingConfig(loss_target=-1.0)
     with pytest.raises(ValueError):
         TrainingConfig(seed=-1)
-    with pytest.raises(ValueError):
-        TrainingConfig(grid=CollocationGrid(np.array([0.0, 7.0])))
+    with pytest.raises(ValueError, match="at least two points"):
+        TrainingConfig(points=1)
 
 
 def test_train_single_iteration_bookkeeping():

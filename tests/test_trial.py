@@ -37,7 +37,8 @@ def test_trial_spec_validation():
         with pytest.raises(ValueError, match=f"domain_end = 6.0, .*got {end}"):
             TrialSpec(TrialMode.PAPER, end)
     assert TrialSpec(TrialMode.PENALTY, 8.0).domain_end == 8.0
-    assert TrialSpec(TrialMode.PENALTY).domain_end == 6.0
+    with pytest.raises(TypeError):  # the domain end has no default
+        TrialSpec(TrialMode.PENALTY)
 
 
 def test_paper_offset_polynomial_with_silent_network():
