@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -126,6 +127,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (math.isfinite(args.eta_max) and args.eta_max > 0.0):  # NaN fails both
+        raise ValueError(f"--eta-max must be finite and positive, got {args.eta_max}")
     # always shoot against a far horizon, even when a short profile is asked for;
     # --step sets the output grid only, so sigma does not depend on it
     sigma = shoot(eta_far=max(args.eta_max, 10.0), tol=args.tol)

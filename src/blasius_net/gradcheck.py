@@ -7,12 +7,14 @@ division breaks down whenever a single component happens to sit near zero
 while the vector itself is large.
 
 fd_param_gradient hands the objective all 2 * 3H perturbed weight sets of
-each entry of a (D, 3, H) stack as one stack.  run_gradient_checks draws in
-blocks of at most AUDIT_BLOCK and makes one stacked jet or evaluator call
-per block: the block's own weight sets first, whose pullback gives the
-analytic gradients, then every draw's perturbations, each entry at its own
-draw's abscissa.  Each stacked entry gives the bits its own call would, and
-the block bounds the audit's memory whatever the number of draws.
+each entry of a (D, 3, H) stack as one stack.  Each case of
+run_gradient_checks is two callables of a weight stack and its abscissae:
+value gives each entry's audited scalar, gradient each entry's analytic
+(3, H) gradient.  Per block of at most AUDIT_BLOCK draws the audit compares
+gradient at the block's weight sets with the differences of value over
+their perturbations, each at its own draw's abscissa.  Each stacked entry
+gives the bits its own call would, and the block bounds the audit's memory
+whatever the number of draws.
 """
 
 from __future__ import annotations
@@ -88,17 +90,14 @@ def run_gradient_checks(draws: int = 100, seed: int = 0) -> list[GradCheckResult
     derivatives (both modes, orders 0..3) and the loss (both modes); every
     case uses fresh random networks of HIDDEN units and abscissae from a
     seeded deterministic stream, steps FD_STEP and passes within REL_TOL.
-    Each block of draws builds one jet with an abscissa per entry; each loss
-    case reuses one evaluator.
+    Each block builds two jets with an abscissa per entry, one for its draws
+    and one for their perturbations; each loss case reuses one evaluator.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    results = []
 
-    def case(name: str, rng: XorShift64Star, measure, abscissae: bool = True) -> None:
-        # measure(stack, xs) -> (values, gradients) of every entry of the stack:
-        # the block's B weight sets, then their 2 * 3H perturbations each;
-        # xs holds the B draws' abscissae
+    def case(name: str, rng: XorShift64Star, value, gradient,
+             abscissae: bool = True) -> GradCheckResult:
         worst = 0.0
         for start in range(0, draws, AUDIT_BLOCK):
             size = min(AUDIT_BLOCK, draws - start)
@@ -108,52 +107,50 @@ def run_gradient_checks(draws: int = 100, seed: int = 0) -> list[GradCheckResult
                 thetas[b] = _draw_params(rng, HIDDEN, 1.0).weights
                 if abscissae:
                     xs[b] = rng.uniform(0.05, 5.95)
-            analytic = []
+            analytic = gradient(thetas, xs)
+            # every perturbation sits at its own draw's abscissa
+            spread = np.repeat(xs, 2 * 3 * HIDDEN)
+            numeric = fd_param_gradient(lambda stack: value(stack, spread), thetas)
+            worst = max(worst, gradient_discrepancy(analytic, numeric))
+        return GradCheckResult(name=name, draws=draws, max_rel_error=worst,
+                               passed=worst <= REL_TOL)
 
-            def objective(perturbed):
-                # the block's own weight sets ride in front of their perturbations
-                values, gradients = measure(np.concatenate((thetas, perturbed)), xs)
-                analytic.append(gradients[:size])
-                return values[size:]
+    def jet_case(build, order: int):
+        def value(stack, xs):
+            return build(xs[:, None], (order,)).forward(stack)[:, 0, order, 0]
 
-            numeric = fd_param_gradient(objective, thetas)
-            worst = max(worst, gradient_discrepancy(analytic[0], numeric))
-        results.append(GradCheckResult(name=name, draws=draws, max_rel_error=worst,
-                                       passed=worst <= REL_TOL))
-
-    def jet_measure(build, order: int):
-        def measure(stack, xs):
-            entry_xs = np.concatenate((xs, np.repeat(xs, 2 * stack[0].size)))
-            jet = build(entry_xs[:, None], (order,))
-            y = jet.forward(stack)
+        def gradient(stack, xs):
+            jet = build(xs[:, None], (order,))
+            jet.forward(stack)
             jet.cotangent.fill(1.0)
-            return y[:, 0, order, 0], jet.pull()
-        return measure
+            return jet.pull()
+        return value, gradient
 
-    def loss_measure(evaluator: LossEvaluator):
-        def measure(stack, _):
+    def loss_case(evaluator: LossEvaluator):
+        def evaluate(stack):
             with np.errstate(all="ignore"):
                 return evaluator.evaluate(stack)
-        return measure
+        return lambda stack, _: evaluate(stack)[0], lambda stack, _: evaluate(stack)[1]
 
     specs = {
         TrialMode.PAPER: TrialSpec(TrialMode.PAPER, 6.0),
         TrialMode.PENALTY: TrialSpec(TrialMode.PENALTY, 6.0),
     }
     grid = CollocationGrid.equidistant(10, 6.0)
+    results = []
 
     for order in range(4):
-        case(f"param_gradient order {order}", XorShift64Star(seed * 977 + order),
-             jet_measure(NetworkJet.bare, order))
+        results.append(case(f"param_gradient order {order}", XorShift64Star(seed * 977 + order),
+                            *jet_case(NetworkJet.bare, order)))
 
     for mode, spec in specs.items():
         for order in range(4):
             rng = XorShift64Star(seed * 1013 + order * 8 + (0 if mode is TrialMode.PAPER else 4))
-            case(f"trial_param_gradient {mode.value} order {order}", rng,
-                 jet_measure(partial(trial_jet, spec), order))
+            results.append(case(f"trial_param_gradient {mode.value} order {order}", rng,
+                                *jet_case(partial(trial_jet, spec), order)))
 
     for mode, spec in specs.items():
         rng = XorShift64Star(seed * 2027 + (0 if mode is TrialMode.PAPER else 1))
-        case(f"loss_gradient {mode.value}", rng, loss_measure(LossEvaluator(spec, grid)),
-             abscissae=False)
+        results.append(case(f"loss_gradient {mode.value}", rng,
+                            *loss_case(LossEvaluator(spec, grid)), abscissae=False))
     return results

@@ -62,7 +62,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class AllRunsDivergedError(RuntimeError):
-    """Raised by multi_run when every seed diverged."""
+    """Raised when every seed diverged: by multi_run, and by the CLI's solve over a sweep."""
 
 
 def _splitmix64(value: int) -> int:

@@ -125,10 +125,15 @@ def test_solve_defaults_are_the_training_config():
     assert args.penalty == cfg.penalty_weight
 
 
-def test_solve_bytes_ignore_thread_count_and_hash_seed(tmp_path):
-    out = tmp_path / "model.txt"
-    argv = [sys.executable, "-m", "blasius_net.cli", "solve", "--runs", "3", "--iterations", "50",
-            "--out", str(out)]
+@pytest.mark.parametrize("command", [
+    ["solve", "--runs", "3", "--iterations", "50", "--out", "OUT"],
+    # the audit stacks a block's draws apart from their 2 * 3H perturbations each
+    ["check-gradients", "--draws", "25", "--seed", "0"],
+], ids=["solve", "check-gradients"])
+def test_bytes_ignore_thread_count_and_hash_seed(command, tmp_path):
+    out = tmp_path / "out.txt"
+    argv = [sys.executable, "-m", "blasius_net.cli",
+            *[str(out) if arg == "OUT" else arg for arg in command]]
     src = Path(__file__).resolve().parents[1] / "src"
     seen = set()
     for threads, hash_seed in [("1", "0"), ("2", "1"), ("1", "1"), ("2", "0")]:
@@ -136,7 +141,7 @@ def test_solve_bytes_ignore_thread_count_and_hash_seed(tmp_path):
                    OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
         out.unlink(missing_ok=True)
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        seen.add((done.stdout, out.read_bytes()))
+        seen.add((done.stdout, out.read_bytes() if "OUT" in command else None))
     assert len(seen) == 1
 
 
@@ -312,6 +317,15 @@ def test_failures_print_one_error_line(argv, quick_model, capsys):
     assert code == 1
     assert len([line for line in captured.err.splitlines() if line.startswith("error: ")]) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("eta_max", ["nan", "inf", "0", "-1"])
+def test_oracle_bad_eta_max_is_named(eta_max, capsys):
+    # checked before shooting, whose own horizon check would name eta_far instead
+    code = run_cli(["oracle", "--eta-max", eta_max])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: --eta-max must be finite and positive, got {float(eta_max)}\n"
 
 
 def test_usage_errors_exit_two(capsys):

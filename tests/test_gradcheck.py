@@ -120,8 +120,8 @@ def test_run_gradient_checks_is_bit_exact_across_blocks():
 
 @pytest.mark.parametrize("draws", [1, AUDIT_BLOCK, 2 * AUDIT_BLOCK + 3])
 def test_no_audit_call_stacks_more_than_one_block(draws, monkeypatch):
-    # a block's own weight sets plus 2 * 3H perturbations of each, never more,
-    # so the audit's memory does not grow with draws
+    # a block's 2 * 3H perturbations of each weight set, never more, so the
+    # audit's memory does not grow with draws
     stacks = []
     for owner, method in ((NetworkJet, "forward"), (LossEvaluator, "evaluate")):
         original = getattr(owner, method)
@@ -131,8 +131,21 @@ def test_no_audit_call_stacks_more_than_one_block(draws, monkeypatch):
             return _original(self, theta, *args, **kwargs)
 
         monkeypatch.setattr(owner, method, recording)
+    # the jet cases pull back only the block's own draws, not their perturbations
+    pulled = []
+    original_pull = NetworkJet.pull
+
+    def recording_pull(self):
+        if self.xs.ndim == 2:
+            pulled.append(self.xs.shape[0])
+        return original_pull(self)
+
+    monkeypatch.setattr(NetworkJet, "pull", recording_pull)
     run_gradient_checks(draws=draws)
-    assert max(stacks) == min(draws, AUDIT_BLOCK) * (1 + 2 * 3 * HIDDEN)
+    block = min(draws, AUDIT_BLOCK)
+    assert max(stacks) == block * 2 * 3 * HIDDEN
+    assert len(pulled) == 12 * -(-draws // AUDIT_BLOCK)
+    assert max(pulled) <= block
 
 
 @pytest.mark.xfail(strict=True, reason=(
