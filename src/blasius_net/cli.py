@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compare", help="trained model vs a bundled reference table")
     comp.add_argument("--model", required=True)
     comp.add_argument("--table", required=True, help="table id, 1..8 or T1..T8")
-    comp.add_argument("--column", default=None,
+    comp.add_argument("--column", default=-1,
                       help="reference column label (default: the last column)")
     comp.add_argument("--out", help="write comparison CSV here instead of stdout")
     comp.set_defaults(func=_cmd_compare)
@@ -156,14 +156,11 @@ def _cmd_series(args) -> int:
 def _cmd_compare(args) -> int:
     params, spec = load_model(args.model)
     table = load_table(args.table)
-    within = table.restrict(spec.domain_end)
-    skipped = table.etas[len(within):].tolist()
+    rows = compare_rows(spec, params, table, reference=args.column)
+    skipped = table.etas[len(rows):].tolist()
     if skipped:
         print(f"note: {len(skipped)} rows beyond domain_end={spec.domain_end} skipped: "
               f"{skipped}", file=sys.stderr)
-    profile = evaluate_profile(spec, params, within.etas)
-    column = args.column if args.column is not None else -1
-    rows = compare_rows(profile, within, reference=column)
     lines = ["eta,ours,reference,rel_error,absolute"]
     for row in rows:
         lines.append(",".join([

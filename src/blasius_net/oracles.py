@@ -35,6 +35,10 @@ __all__ = [
 
 TAIL_TOLERANCE = 1e-9  # truncation gate: |last term| vs |partial sum|
 RK4_CHUNK = 1024  # RK4 steps buffered in lists, then stored and checked at once
+RK4_MAX_STEPS = 10**6  # admits eta = 100 at the default step 1e-3, T5's last row
+# past k = 180 every prefactor (-1)^k A_k / (2^k (3k+2)!) rounds to 0.0 as a
+# double, so larger k cannot move a sum; it only costs big-integer work
+SERIES_MAX_K = 180
 
 
 class SeriesNotConvergedError(RuntimeError):
@@ -53,6 +57,9 @@ def series_coefficients(k_max: int) -> tuple[int, ...]:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if k_max > SERIES_MAX_K:
+        raise ValueError(f"k_max {k_max} exceeds SERIES_MAX_K = {SERIES_MAX_K}: "
+                         "past it every prefactor rounds to 0.0")
     a = [1, 1]
     for k in range(2, k_max + 1):
         a.append(sum(math.comb(3 * k - 1, 3 * r) * a[r] * a[k - r - 1] for r in range(k)))
@@ -104,7 +111,8 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
     """Integrate (f, f', f'') from (0, 0, sigma0) with fixed-step classical RK4.
 
     Emits a row at every grid point i*step (plus eta_max itself when the step
-    does not divide it exactly).
+    does not divide it exactly).  More than RK4_MAX_STEPS steps raise
+    ValueError before anything is allocated.
     """
     sigma0 = float(sigma0)
     if not math.isfinite(sigma0) or sigma0 < 0.0:
@@ -113,8 +121,12 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
         raise ValueError("eta_max must be finite and positive")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and positive")
+    steps = eta_max / step  # inf when the quotient overflows
+    if steps > RK4_MAX_STEPS:
+        raise ValueError(f"eta_max / step asks for {steps:.6g} RK4 steps, "
+                         f"over RK4_MAX_STEPS = {RK4_MAX_STEPS}")
 
-    n_full = int(math.floor(eta_max / step + 1e-12))
+    n_full = int(math.floor(steps + 1e-12))
     remainder = eta_max - n_full * step
     has_tail = remainder > 1e-12 * max(1.0, eta_max)
     count = n_full + 1 + (1 if has_tail else 0)

@@ -1,4 +1,9 @@
-"""Evaluating trained networks on eta grids and comparing against the tables."""
+"""Evaluating trained networks on eta grids and comparing against the tables.
+
+compare is the one path from a model to compared rows: it evaluates the model
+once at the table's own abscissae inside the trial domain, so each row pairs
+the model's value with a reference value at exactly the same eta.
+"""
 
 from __future__ import annotations
 
@@ -11,16 +16,7 @@ from .profiles import SolutionProfile
 from .tables import ReferenceTable
 from .trial import TrialSpec, trial_jet
 
-__all__ = ["ComparisonRow", "TableJoinError", "relative_error", "evaluate_profile", "compare"]
-
-
-class TableJoinError(ValueError):
-    """A table abscissa has no matching profile row."""
-
-    def __init__(self, table_id: str, missing: list[float]):
-        super().__init__(f"profile lacks rows for table {table_id} at eta = {missing}")
-        self.table_id = table_id
-        self.missing = missing
+__all__ = ["ComparisonRow", "relative_error", "evaluate_profile", "compare"]
 
 
 @dataclass(frozen=True)
@@ -62,24 +58,18 @@ def evaluate_profile(spec: TrialSpec, params: NetworkParams, etas) -> SolutionPr
     return SolutionProfile(eta=etas, f=y[:, 0], fp=y[:, 1], fpp=y[:, 2])
 
 
-def compare(profile: SolutionProfile, table: ReferenceTable,
+def compare(spec: TrialSpec, params: NetworkParams, table: ReferenceTable,
             reference: str | int = -1) -> list[ComparisonRow]:
-    """One ComparisonRow per table row, against the chosen reference column.
+    """One ComparisonRow per table row with eta <= spec.domain_end, in table order.
 
-    The default column is the last (most refined) one.  Every table eta must
-    match a profile eta within profiles.JOIN_TOL, or the join fails listing the
-    missing abscissae.  The profile column is picked by the table's quantity.
+    The model is evaluated once, at exactly those abscissae; the rows past the
+    domain are the table's tail and are left out.  The default reference column
+    is the last (most refined) one; the model's value is the profile column
+    named by the table's quantity.
     """
     column = table.column(reference)
-    ours_col = getattr(profile, table.quantity)
-    rows, missing = [], []
-    for eta, ref in zip(table.etas.tolist(), column.values.tolist()):
-        try:
-            ours = float(ours_col[profile.index_of(eta)])
-        except KeyError:
-            missing.append(eta)
-            continue
-        rows.append(ComparisonRow(eta, ours, ref, relative_error(ours, ref)))
-    if missing:
-        raise TableJoinError(table.table_id, missing)
-    return rows
+    count = int(np.searchsorted(table.etas, spec.domain_end, side="right"))
+    ours = getattr(evaluate_profile(spec, params, table.etas[:count]), table.quantity)
+    return [ComparisonRow(eta, value, ref, relative_error(value, ref))
+            for eta, value, ref in zip(table.etas.tolist(), ours.tolist(),
+                                       column.values.tolist())]

@@ -90,9 +90,6 @@ class ReferenceTable:
     own_values: np.ndarray
     references: tuple[ReferenceColumn, ...]
 
-    def __len__(self) -> int:
-        return int(self.etas.size)
-
     def column(self, key: str | int) -> ReferenceColumn:
         """Select a reference column by label or position (negatives allowed)."""
         if isinstance(key, int):
@@ -102,14 +99,6 @@ class ReferenceTable:
                 return col
         labels = ", ".join(col.label for col in self.references)
         raise KeyError(f"table {self.table_id} has no column '{key}' (have: {labels})")
-
-    def restrict(self, eta_max: float) -> "ReferenceTable":
-        """The leading rows with eta <= eta_max (etas increase strictly)."""
-        n = int(np.searchsorted(self.etas, eta_max, side="right"))
-        refs = tuple(ReferenceColumn(col.label, col.values[:n], col.printed_errors[:n])
-                     for col in self.references)
-        return ReferenceTable(self.table_id, self.quantity, self.etas[:n],
-                              self.own_values[:n], refs)
 
 
 def fixtures_dir() -> Path:

@@ -129,7 +129,8 @@ def test_solve_defaults_are_the_training_config():
     ["solve", "--runs", "3", "--iterations", "50", "--out", "OUT"],
     # the audit stacks a block's draws apart from their 2 * 3H perturbations each
     ["check-gradients", "--draws", "25", "--seed", "0"],
-], ids=["solve", "check-gradients"])
+    ["solve", "--iterations", "50", "--out", "OUT"],  # one seed runs through train
+], ids=["solve", "check-gradients", "single"])
 def test_bytes_ignore_thread_count_and_hash_seed(command, tmp_path):
     out = tmp_path / "out.txt"
     argv = [sys.executable, "-m", "blasius_net.cli",
@@ -141,6 +142,7 @@ def test_bytes_ignore_thread_count_and_hash_seed(command, tmp_path):
                    OMP_NUM_THREADS=threads, PYTHONHASHSEED=hash_seed)
         out.unlink(missing_ok=True)
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert done.stderr == ""  # nothing, not even a warning at shutdown, follows stdout
         seen.add((done.stdout, out.read_bytes() if "OUT" in command else None))
     assert len(seen) == 1
 
@@ -236,9 +238,10 @@ def test_compare_column_selection(quick_model, capsys):
     assert run_cli(["compare", "--model", str(quick_model), "--table", "T1",
                     "--column", "bogus"]) == 1
     captured = capsys.readouterr()
-    # the message itself, not the repr that str() of a KeyError gives
-    assert captured.err.splitlines()[-1] == (
-        "error: table T1 has no column 'bogus' (have: howarth, sinc_collocation)")
+    # the message itself, not the repr that str() of a KeyError gives; the column
+    # is looked up before the skipped-rows note could be printed
+    assert captured.err == (
+        "error: table T1 has no column 'bogus' (have: howarth, sinc_collocation)\n")
 
 
 def test_compare_unknown_table(quick_model, capsys):
@@ -307,8 +310,10 @@ def test_missing_model_file(capsys):
     ["profile", "--model", "MODEL", "--points", "1"],
     ["oracle", "--tol", "1e-30"],
     ["oracle", "--eta-max", "nan"],
+    ["oracle", "--step", "1e-9", "--eta-max", "0.5"],  # 5e8 steps, over the cap
     ["compare", "--model", "MODEL", "--table", "1", "--column", "bogus"],
     ["series", "--eta", "-1"],
+    ["series", "--eta", "1.0", "--k-max", "181"],
 ])
 def test_failures_print_one_error_line(argv, quick_model, capsys):
     # run_cli is the one place that prints an error line; commands raise

@@ -3,11 +3,14 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from blasius_net.oracles import (
+    RK4_MAX_STEPS,
+    SERIES_MAX_K,
     IntegrationError,
     SeriesNotConvergedError,
     rk4_profile,
@@ -35,6 +38,20 @@ def test_series_coefficients_exact_integers():
 def test_series_coefficients_validation():
     with pytest.raises(ValueError):
         series_coefficients(0)
+    # the cap is checked before any big-integer coefficient is built
+    with pytest.raises(ValueError, match=f"k_max 181 exceeds SERIES_MAX_K = {SERIES_MAX_K}"):
+        series_coefficients(SERIES_MAX_K + 1)
+
+
+def test_series_cap_is_where_prefactors_vanish():
+    # the last admitted prefactor is still a nonzero double; the next one, with
+    # A_181 from the same recurrence, rounds to 0.0
+    a = list(series_coefficients(SERIES_MAX_K))
+    k = SERIES_MAX_K + 1
+    a.append(sum(math.comb(3 * k - 1, 3 * r) * a[r] * a[k - r - 1] for r in range(k)))
+    prefactors = [float(Fraction(a[j], 2**j * math.factorial(3 * j + 2))) for j in (k - 1, k)]
+    assert prefactors[0] != 0.0
+    assert prefactors[1] == 0.0
 
 
 def test_series_recurrence_consistency():
@@ -102,7 +119,7 @@ def test_series_validation(sigma):
 
 @pytest.mark.parametrize("sigma0, eta, k_max, term", [
     (None, 1e10, 25, 10),   # eta ** (3k + 2) overflows
-    (None, 6.0, 200, 132),  # a far term, outside the convergence radius
+    (None, 6.0, 180, 132),  # a far term, outside the convergence radius
     (1e200, 2.0, 25, 1),    # sigma ** (k + 1) overflows
     (1e200, 1e60, 25, 0),   # both powers are finite, their product is not
 ])
@@ -163,6 +180,11 @@ def test_rk4_validation():
             rk4_profile(0.3, bad)
         with pytest.raises(ValueError, match="step must be finite and positive"):
             rk4_profile(0.3, 1.0, step=bad)
+    # the step count is checked before any row is allocated, overflow included
+    for eta_max, step, count in ((0.5, 1e-9, "5e\\+08"), (1.0, 1e-320, "inf")):
+        with pytest.raises(ValueError, match=f"asks for {count} RK4 steps, "
+                                             f"over RK4_MAX_STEPS = {RK4_MAX_STEPS}"):
+            rk4_profile(0.3, eta_max, step)
 
 
 @pytest.mark.parametrize("sigma0, eta_max, step, digest", [

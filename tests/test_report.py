@@ -5,12 +5,12 @@ import pytest
 
 from blasius_net.network import NetworkParams
 from blasius_net.oracles import rk4_profile, shoot
-from blasius_net.profiles import SolutionProfile
-from blasius_net.report import TableJoinError, compare, evaluate_profile, relative_error
-from blasius_net.tables import ReferenceColumn, ReferenceTable, load_table
+from blasius_net.report import compare, evaluate_profile, relative_error
+from blasius_net.tables import load_table
 from blasius_net.trial import TrialMode, TrialSpec
 
 PAPER = TrialSpec(TrialMode.PAPER, 6.0)
+SILENT = NetworkParams(np.zeros(3), np.ones(3), np.ones(3))  # v = 0: N vanishes
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +28,7 @@ def test_relative_error_definition():
 
 
 def test_evaluate_profile_with_silent_network():
-    params = NetworkParams(np.zeros(3), np.ones(3), np.ones(3))
-    profile = evaluate_profile(PAPER, params, [0.0, 1.0, 2.0])
+    profile = evaluate_profile(PAPER, SILENT, [0.0, 1.0, 2.0])
     assert np.array_equal(profile.eta, [0.0, 1.0, 2.0])
     assert np.allclose(profile.f, [0.0, 2.0, 12.0], rtol=1e-15)
     assert np.allclose(profile.fp, [0.0, 5.0, 16.0], rtol=1e-15)
@@ -43,52 +42,38 @@ def test_evaluate_profile_rejects_outside_domain():
             evaluate_profile(PAPER, params, etas)
 
 
-def tiny_table(etas, own, refs):
-    columns = tuple(
-        ReferenceColumn(label=f"ref{i}", values=np.asarray(vals, dtype=float),
-                        printed_errors=(None,) * len(etas))
-        for i, vals in enumerate(refs)
-    )
-    return ReferenceTable(table_id="TX", quantity="f", etas=np.asarray(etas, dtype=float),
-                          own_values=np.asarray(own, dtype=float), references=columns)
-
-
-def flat_profile(etas, values):
-    values = np.asarray(values, dtype=float)
-    return SolutionProfile(eta=np.asarray(etas, dtype=float), f=values,
-                           fp=np.zeros_like(values), fpp=np.zeros_like(values))
-
-
 def test_compare_against_listed_column():
-    table = tiny_table([0.0, 1.0], own=[0.0, 2.0], refs=[[0.0, 1.0], [0.5, 4.0]])
-    profile = flat_profile([0.0, 0.5, 1.0], [0.0, 9.0, 2.0])
-    rows = compare(profile, table)  # default: last reference column
-    assert [row.eta for row in rows] == [0.0, 1.0]
-    assert rows[0].ours == 0.0 and rows[0].reference == 0.5
-    assert rows[0].rel_error == 1.0 and rows[0].absolute is False
-    assert rows[1].rel_error == pytest.approx(0.5, rel=1e-12)
+    # a silent paper network is y = x^3 + x^2 exactly, so no oracle is needed
+    table = load_table("T1")
+    rows = compare(PAPER, SILENT, table)  # default: last reference column
+    etas = table.etas[table.etas <= PAPER.domain_end]
+    assert [row.eta for row in rows] == etas.tolist()
+    assert [row.ours for row in rows] == pytest.approx(etas**3 + etas**2, rel=1e-15, abs=0)
+    assert [row.reference for row in rows] == table.column(-1).values[:len(rows)].tolist()
+    assert table.column(-1).label == "sinc_collocation"
+    assert all(row.rel_error == relative_error(row.ours, row.reference) for row in rows)
+    assert not any(row.absolute for row in rows)
 
-    by_first = compare(profile, table, reference=0)
-    assert by_first[1].reference == 1.0
-    assert by_first[1].rel_error == pytest.approx(1.0, rel=1e-12)
-    assert by_first[0].absolute is True  # reference value is exactly zero
-    by_label = compare(profile, table, reference="ref1")
-    assert by_label[0].reference == 0.5
-
-
-def test_compare_reports_missing_rows():
-    table = tiny_table([0.0, 1.0, 2.0], own=[0.0, 1.0, 2.0], refs=[[0.0, 1.0, 2.0]])
-    profile = flat_profile([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(TableJoinError) as excinfo:
-        compare(profile, table)
-    assert excinfo.value.table_id == "TX"
-    assert excinfo.value.missing == [2.0]
+    by_first = compare(PAPER, SILENT, table, reference=0)
+    assert by_first == compare(PAPER, SILENT, table, reference="howarth")
+    assert [row.reference for row in by_first] == table.column("howarth").values[:len(rows)].tolist()
+    assert [row.ours for row in by_first] == [row.ours for row in rows]
+    with pytest.raises(KeyError, match="no column 'bogus'"):
+        compare(PAPER, SILENT, table, reference="bogus")
 
 
-def test_compare_uses_quantity_column(oracle_profile):
-    # T3 tabulates the slope, so comparisons must read profile.fp
-    rows = compare(oracle_profile, load_table("T3"), reference="block_method")
-    assert max(row.rel_error for row in rows) <= 5e-6
+def test_compare_uses_quantity_column():
+    # T3 tabulates the slope and T4 the curvature: ours must read fp and fpp
+    for table_id, jet in (("T3", lambda eta: 3 * eta**2 + 2 * eta),
+                          ("T4", lambda eta: 6 * eta + 2)):
+        table = load_table(table_id)
+        rows = compare(PAPER, SILENT, table)
+        etas = table.etas[table.etas <= PAPER.domain_end]
+        assert [row.eta for row in rows] == etas.tolist()
+        assert [row.ours for row in rows] == pytest.approx(jet(etas), rel=1e-15, abs=0)
+    # T3 tabulates f'(0) = 0 as exactly zero, so its first row is absolute
+    first = compare(PAPER, SILENT, load_table("T3"))[0]
+    assert first.absolute and first.rel_error == 0.0
 
 
 def test_oracle_matches_classical_columns(oracle_profile):

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blasius_net.cli import run_cli
-from blasius_net.report import relative_error
+from blasius_net.network import NetworkParams
+from blasius_net.report import compare, relative_error
 from blasius_net.tables import (
     FIXTURES_ENV_VAR,
     TABLE_IDS,
@@ -25,6 +26,7 @@ from blasius_net.tables import (
     load_table,
     parse_printed_error,
 )
+from blasius_net.trial import TrialMode, TrialSpec
 
 EXPECTED_ROWS = {"T1": 12, "T2": 16, "T3": 16, "T4": 16, "T5": 28, "T6": 19, "T7": 19, "T8": 19}
 EXPECTED_QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",
@@ -88,15 +90,16 @@ def test_column_lookup():
         table.column(5)
 
 
-def test_restrict_trims_rows():
+def test_compare_keeps_the_rows_inside_the_domain():
+    # T5 runs to eta = 100: a model on [0, L] is compared on exactly its rows with eta <= L
     t5 = load_table("T5")
-    trimmed = t5.restrict(6.0)
-    assert trimmed.etas[-1] <= 6.0
-    assert len(trimmed.etas) < len(t5.etas)
-    assert len(trimmed.own_values) == len(trimmed.etas)
-    for column in trimmed.references:
-        assert len(column.values) == len(trimmed.etas)
-    assert len(t5.restrict(1000.0).etas) == len(t5.etas)
+    silent = NetworkParams(np.zeros(2), np.ones(2), np.ones(2))
+    inside = compare(TrialSpec(TrialMode.PAPER, 6.0), silent, t5)
+    assert [row.eta for row in inside] == [eta for eta in t5.etas.tolist() if eta <= 6.0]
+    assert len(inside) < len(t5.etas)
+    every = compare(TrialSpec(TrialMode.PENALTY, 100.0), silent, t5)
+    assert [row.eta for row in every] == t5.etas.tolist()
+    assert [row.reference for row in every] == t5.column(-1).values.tolist()
 
 
 def test_parse_printed_error_units():
