@@ -24,7 +24,7 @@ import numpy as np
 from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
 from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
-from .profiles import atomic_write_text, format_float, write_profile_csv
+from .profiles import format_float, open_output, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
@@ -32,6 +32,8 @@ from .training import AllRunsDivergedError, TrainingConfig, best_run, seed_sweep
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
+
+PROFILE_MAX_POINTS = 10**6  # ~0.55 KB of jet per point; the oracle's row cap, RK4_MAX_STEPS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,13 +135,10 @@ def _cmd_oracle(args) -> int:
     # --step sets the output grid only, so sigma does not depend on it
     sigma = shoot(eta_far=max(args.eta_max, 10.0), tol=args.tol)
     profile = rk4_profile(sigma, args.eta_max, args.step)
-    comments = {"sigma": format_float(sigma)}
+    write_profile_csv(profile, args.out or sys.stdout, comments={"sigma": format_float(sigma)})
     if args.out:
-        write_profile_csv(profile, args.out, comments=comments)
         print(f"sigma = {format_float(sigma)}")
         print(f"profile written: {args.out}")
-    else:
-        write_profile_csv(profile, sys.stdout, comments=comments)
     return 0
 
 
@@ -161,16 +160,12 @@ def _cmd_compare(args) -> int:
     if skipped:
         print(f"note: {len(skipped)} rows beyond domain_end={spec.domain_end} skipped: "
               f"{skipped}", file=sys.stderr)
-    lines = ["eta,ours,reference,rel_error,absolute"]
-    for row in rows:
-        lines.append(",".join([
-            format_float(row.eta), format_float(row.ours), format_float(row.reference),
-            f"{row.rel_error:.6e}", "1" if row.absolute else "0"]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with open_output(args.out or sys.stdout) as out:
+        out.write("eta,ours,reference,rel_error,absolute\n")
+        for row in rows:
+            out.write(",".join([
+                format_float(row.eta), format_float(row.ours), format_float(row.reference),
+                f"{row.rel_error:.6e}", "1" if row.absolute else "0"]) + "\n")
     return 0
 
 
@@ -187,15 +182,14 @@ def _cmd_check_gradients(args) -> int:
 
 def _cmd_profile(args) -> int:
     params, spec = load_model(args.model)
-    if args.points < 2:
-        raise ValueError("--points must be at least 2")
+    if not 2 <= args.points <= PROFILE_MAX_POINTS:
+        raise ValueError(f"--points must be between 2 and PROFILE_MAX_POINTS = "
+                         f"{PROFILE_MAX_POINTS}, got {args.points}")
     etas = np.linspace(0.0, spec.domain_end, args.points)
     profile = evaluate_profile(spec, params, etas)
+    write_profile_csv(profile, args.out or sys.stdout)
     if args.out:
-        write_profile_csv(profile, args.out)
         print(f"profile written: {args.out}")
-    else:
-        write_profile_csv(profile, sys.stdout)
     return 0
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import NetworkParams
-from .profiles import atomic_write_text, format_float
+from .profiles import format_float, open_output
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["MODEL_HEADER", "ModelFormatError", "ModelVersionError", "save_model", "load_model"]
@@ -52,7 +52,8 @@ def save_model(params: NetworkParams, spec: TrialSpec, path) -> None:
     ]
     lines += [key + "=" + ",".join(format_float(x) for x in row)
               for key, row in zip("vuw", params.weights)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with open_output(path) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def _expect_field(line: str, line_number: int, key: str) -> str:

@@ -16,8 +16,8 @@ usable as cross-checks for the trained network.
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class IntegrationError(RuntimeError):
     """RK4 state stopped being finite, or its far field did not settle."""
 
 
+@functools.cache  # SERIES_MAX_K bounds the keys; a call that raises is not cached
 def series_coefficients(k_max: int) -> tuple[int, ...]:
     """The integer wall-series coefficients A_0..A_k_max, by the exact recurrence.
 
@@ -74,8 +75,8 @@ def _series_terms(sigma: float, eta: float, k_max: int) -> list[float]:
         return [0.0] * len(coefficients)
     terms = []
     for k, a_k in enumerate(coefficients):
-        # exact rational prefactor, converted to float once
-        prefactor = float(Fraction((-1) ** k * a_k, 2**k * math.factorial(3 * k + 2)))
+        # int / int is correctly rounded: the exact rational prefactor as a double
+        prefactor = (-1) ** k * a_k / (2**k * math.factorial(3 * k + 2))
         try:
             term = prefactor * sigma ** (k + 1) * eta ** (3 * k + 2)
         except OverflowError:  # float ** int raises where float * float gives inf

@@ -3,23 +3,26 @@
 The CSV format is part of the tool's contract: header ``eta,f,fp,fpp``, one
 row per abscissa, every number printed with 17 significant digits so a
 re-parsed file reproduces the in-memory profile exactly.  Optional
-``# key = value`` comment lines sit above the header.
+``# key = value`` comment lines sit above the header.  ``open_output`` is the
+one writer behind every file the package writes, CSV or model.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
-__all__ = ["SolutionProfile", "format_float", "atomic_write_text", "write_profile_csv"]
+__all__ = ["SolutionProfile", "format_float", "open_output", "write_profile_csv"]
 
 CSV_HEADER = "eta,f,fp,fpp"
 FLOAT_FORMAT = "%.17g"
-CSV_ROW = ",".join([FLOAT_FORMAT] * 4)  # format_float on each column, one % per row
+CSV_ROW = ",".join([FLOAT_FORMAT] * 4) + "\n"  # format_float on each column, one % per row
+CSV_BLOCK = 1024  # rows formatted per write, so memory stays flat in the row count
 JOIN_TOL = 1e-12  # largest |eta difference| at which index_of matches a row
 
 
@@ -68,9 +71,6 @@ class SolutionProfile:
     def __len__(self) -> int:
         return int(self.eta.size)
 
-    def rows(self) -> Iterator[tuple[float, float, float, float]]:
-        return zip(self.eta.tolist(), self.f.tolist(), self.fp.tolist(), self.fpp.tolist())
-
     def index_of(self, eta: float) -> int:
         """Index of the row whose abscissa matches eta within JOIN_TOL; raise if absent."""
         hits = np.nonzero(np.abs(self.eta - eta) <= JOIN_TOL)[0]
@@ -79,31 +79,32 @@ class SolutionProfile:
         return int(hits[0])
 
 
-def write_profile_csv(profile: SolutionProfile, destination, comments: dict | None = None) -> None:
-    """Write the profile as CSV to a path or text file object.
-
-    Path writes are atomic (temp file in the same directory, then rename).
-    Optional comments become ``# key = value`` lines above the header.
-    """
-    lines = []
-    for key, value in (comments or {}).items():
-        lines.append(f"# {key} = {value}")
-    lines.append(CSV_HEADER)
-    lines.extend(map(CSV_ROW.__mod__, profile.rows()))
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, Path)):
-        atomic_write_text(destination, text)
-    else:
-        destination.write(text)
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path through a ``<name>.tmp`` sibling and an atomic rename; failure unlinks it."""
-    path = Path(path)
+@contextlib.contextmanager
+def open_output(destination) -> Iterator[TextIO]:
+    """A stream as is; a path as a ``.tmp`` sibling, renamed over it on clean exit, else unlinked."""
+    if not isinstance(destination, (str, Path)):
+        yield destination
+        return
+    path = Path(destination)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as out:
+            yield out
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_profile_csv(profile: SolutionProfile, destination, comments: dict | None = None) -> None:
+    """Write the profile as CSV through open_output, CSV_BLOCK rows per write.
+
+    Optional comments become ``# key = value`` lines above the header.
+    """
+    columns = (profile.eta, profile.f, profile.fp, profile.fpp)
+    with open_output(destination) as out:
+        out.write("".join(f"# {key} = {value}\n" for key, value in (comments or {}).items())
+                  + CSV_HEADER + "\n")
+        for start in range(0, len(profile), CSV_BLOCK):
+            block = [column[start:start + CSV_BLOCK].tolist() for column in columns]
+            out.write("".join(map(CSV_ROW.__mod__, zip(*block))))

@@ -291,11 +291,15 @@ def test_profile_rejects_single_point(quick_model, capsys):
 def test_profile_failed_write_leaves_no_temp_file(quick_model, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.mkdir()  # the rename onto a directory fails
-    code = run_cli(["profile", "--model", str(quick_model), "--points", "5", "--out", str(taken)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+    # every command that writes a file: profile and compare, and solve's model
+    for argv in (["profile", "--model", str(quick_model), "--points", "5"],
+                 ["compare", "--model", str(quick_model), "--table", "T2"],
+                 ["solve", "--iterations", "1"]):
+        code = run_cli(argv + ["--out", str(taken)])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"], argv
 
 
 def test_missing_model_file(capsys):
@@ -314,6 +318,7 @@ def test_missing_model_file(capsys):
     ["compare", "--model", "MODEL", "--table", "1", "--column", "bogus"],
     ["series", "--eta", "-1"],
     ["series", "--eta", "1.0", "--k-max", "181"],
+    ["profile", "--model", "MODEL", "--points", "1000001"],  # over PROFILE_MAX_POINTS
 ])
 def test_failures_print_one_error_line(argv, quick_model, capsys):
     # run_cli is the one place that prints an error line; commands raise

@@ -13,6 +13,7 @@ from blasius_net.oracles import (
     SERIES_MAX_K,
     IntegrationError,
     SeriesNotConvergedError,
+    _series_terms,
     rk4_profile,
     series_coefficients,
     series_eval,
@@ -52,6 +53,16 @@ def test_series_cap_is_where_prefactors_vanish():
     prefactors = [float(Fraction(a[j], 2**j * math.factorial(3 * j + 2))) for j in (k - 1, k)]
     assert prefactors[0] != 0.0
     assert prefactors[1] == 0.0
+
+
+def test_series_prefactors_are_the_rounded_fractions():
+    # at sigma = eta = 1 each term is its prefactor; the exact Fraction,
+    # rounded once, is the reference, bit for bit and sign included
+    a = series_coefficients(SERIES_MAX_K)
+    reference = [float(Fraction((-1) ** k * a[k], 2**k * math.factorial(3 * k + 2)))
+                 for k in range(SERIES_MAX_K + 1)]
+    terms = _series_terms(1.0, 1.0, SERIES_MAX_K)
+    assert [t.hex() for t in terms] == [r.hex() for r in reference]
 
 
 def test_series_recurrence_consistency():

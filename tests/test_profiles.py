@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blasius_net.profiles import CSV_HEADER, SolutionProfile, format_float, write_profile_csv
+from blasius_net.profiles import (
+    CSV_BLOCK,
+    CSV_HEADER,
+    SolutionProfile,
+    format_float,
+    write_profile_csv,
+)
 
 from helpers import DOUBLES, read_profile_csv
 
@@ -38,11 +44,11 @@ def test_profile_validation():
 def test_profile_rows_and_lookup():
     profile = small_profile()
     assert len(profile) == 3
-    listed = list(profile.rows())
-    assert listed[1] == (0.5, 0.25, 1.0, 2.0)
+    columns = (profile.eta, profile.f, profile.fp, profile.fpp)
+    assert [column[1] for column in columns] == [0.5, 0.25, 1.0, 2.0]
     assert profile.index_of(0.5) == 1
     assert profile.index_of(0.5 + 1e-13) == 1
-    assert listed[profile.index_of(1.0)] == (1.0, 1.0, 2.0, 2.0)
+    assert [column[profile.index_of(1.0)] for column in columns] == [1.0, 1.0, 2.0, 2.0]
     with pytest.raises(KeyError):
         profile.index_of(0.25)
 
@@ -94,6 +100,32 @@ def test_csv_rows_match_per_value_format_float():
     assert "-0," in buffer.getvalue() and "4.9406564584124654e-324" in buffer.getvalue()
 
 
+class WriteRecorder(io.StringIO):
+    """A text stream that keeps each write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_csv_is_written_in_blocks():
+    # memory stays flat in the row count: no single write holds more than a block
+    count = 2 * CSV_BLOCK + 1
+    rng = np.random.default_rng(73)
+    eta = np.cumsum(rng.uniform(0.5, 1.5, count))
+    columns = [eta] + [rng.normal(size=count) for _ in range(3)]
+    stream = WriteRecorder()
+    write_profile_csv(SolutionProfile(*columns), stream, comments={"sigma": "0.332"})
+    assert max(text.count("\n") for text in stream.writes[1:]) <= CSV_BLOCK
+    assert stream.writes[0] == "# sigma = 0.332\n" + CSV_HEADER + "\n"
+    expected = [",".join(format_float(x) for x in row) + "\n" for row in zip(*columns)]
+    assert "".join(stream.writes[1:]) == "".join(expected)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(columns=st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(DOUBLES, min_size=n, max_size=n, unique=True).map(sorted),
@@ -127,4 +159,5 @@ def test_csv_read_validation():
     # comments and blank lines anywhere are skipped
     text = "# a = 1\n\n" + CSV_HEADER + "\n# inline note\n0,1,2,3\n"
     profile = read_profile_csv(io.StringIO(text))
-    assert list(profile.rows()) == [(0.0, 1.0, 2.0, 3.0)]
+    assert [profile.eta.tolist(), profile.f.tolist(), profile.fp.tolist(),
+            profile.fpp.tolist()] == [[0.0], [1.0], [2.0], [3.0]]

@@ -2,8 +2,11 @@
 
 import importlib
 import importlib.util
+import json
 import math
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from blasius_net.oracles import rk4_profile, shoot
 from blasius_net.problem import CollocationGrid, loss
 from blasius_net.report import evaluate_profile
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(blasius_net.__path__))
 
@@ -60,3 +64,27 @@ def test_benchmark_direct_calls_keep_their_forms(tmp_path):
     argv = ["profile", "--model", str(model), "--points", "11", "--out", str(out)]
     assert cli.run_cli(argv) == 0
     assert out.read_text().startswith("eta,f,fp,fpp\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in the result line")
+
+
+@pytest.mark.parametrize("workload", ["single", "sweep", "validate"])
+def test_benchmark_result_line_holds_every_metric(workload):
+    """A run ends in one strict-JSON line that holds every end-to-end metric.
+
+    A stray line after the result, or a metric lost from it, fails every run
+    of the benchmark while the process still exits 0.  The validate
+    workload's correctness check pins gradcheck_worst on the SkylakeX
+    OpenBLAS kernels, the same caveat as the bit fingerprints.
+    """
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {metric["name"] for metric in declared} <= set(result["metrics"])
