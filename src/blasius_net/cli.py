@@ -28,7 +28,14 @@ from .profiles import format_float, open_output, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
-from .training import AllRunsDivergedError, TrainingConfig, best_run, seed_sweep, train
+from .training import (
+    SWEEP_MAX_RUNS,
+    AllRunsDivergedError,
+    TrainingConfig,
+    best_run,
+    seed_sweep,
+    train,
+)
 from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
@@ -107,6 +114,9 @@ def _cmd_solve(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
+    if not 1 <= args.runs <= SWEEP_MAX_RUNS:
+        raise ValueError(f"--runs must be between 1 and SWEEP_MAX_RUNS = {SWEEP_MAX_RUNS}, "
+                         f"got {args.runs}")
     # one seed stays on train, which names the iteration a divergence happened at
     runs = [train(cfg)] if args.runs == 1 else seed_sweep(cfg, args.runs)
     best = best_run(runs)

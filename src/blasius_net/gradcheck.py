@@ -104,7 +104,7 @@ def run_gradient_checks(draws: int = 100, seed: int = 0) -> list[GradCheckResult
             thetas = np.empty((size, 3, HIDDEN))
             xs = np.empty(size)
             for b in range(size):
-                thetas[b] = _draw_params(rng, HIDDEN, 1.0).weights
+                thetas[b] = _draw_params(rng, HIDDEN, 1.0)
                 if abscissae:
                     xs[b] = rng.uniform(0.05, 5.95)
             analytic = gradient(thetas, xs)

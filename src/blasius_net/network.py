@@ -53,6 +53,26 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 3
 
 
+def _constant(value: float) -> np.ndarray:
+    const = np.array(value, dtype=np.float64)
+    const.flags.writeable = False
+    return const
+
+
+# The hot path's constant operands, as locked 0-d float64 arrays: a ufunc
+# converts a Python float operand on every call (about 0.25 us a call with
+# numpy 2.4), a 0-d array it takes as it is.  Against float64 arrays both
+# select the same DOUBLE loop, so the bits are the same.
+# problem.LossEvaluator shares them.
+_HALF = _constant(0.5)
+_ONE = _constant(1.0)
+_TWO = _constant(2.0)
+_THREE = _constant(3.0)
+_MINUS_TWO = _constant(-2.0)
+_MINUS_SIX = _constant(-6.0)
+_MINUS_TWELVE = _constant(-12.0)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class NetworkParams:
     """Weights of the network: output weights v, hidden biases u, input weights w.
@@ -102,20 +122,20 @@ def _sigmoid_stack(z: np.ndarray, out):
     mul = np.multiply
     add = np.add
     s, t, g2, g3, g4 = out
-    mul(z, 0.5, s)
+    mul(z, _HALF, s)
     np.tanh(s, s)
-    add(s, 1.0, s)
-    mul(s, 0.5, s)
-    np.subtract(1.0, s, t)
+    add(s, _ONE, s)
+    mul(s, _HALF, s)
+    np.subtract(_ONE, s, t)
     mul(t, s, t)
-    mul(s, -2.0, g2)
-    add(g2, 1.0, g2)
+    mul(s, _MINUS_TWO, g2)
+    add(g2, _ONE, g2)
     mul(g2, t, g2)
-    mul(t, -6.0, g3)
-    add(g3, 1.0, g3)
+    mul(t, _MINUS_SIX, g3)
+    add(g3, _ONE, g3)
     mul(g3, t, g3)
-    mul(t, -12.0, g4)
-    add(g4, 1.0, g4)
+    mul(t, _MINUS_TWELVE, g4)
+    add(g4, _ONE, g4)
     mul(g4, g2, g4)
     return out
 
@@ -232,11 +252,13 @@ class NetworkJet:
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
         """Fill and return the (S, rows, 4, 1) buffer y for a float64 (S, 3, H) theta."""
-        # hot path: out arguments are positional, since training runs this
-        # once per iteration
+        # hot path: out arguments are positional, constants are the 0-d
+        # operands above and copies are slice assignments (np.copyto
+        # dispatches through Python), since training runs this once per
+        # iteration
         mul = np.multiply
         self._ensure_scratch(theta.shape)
-        np.copyto(self._theta, theta)
+        self._theta[...] = theta
         w = self._w
         z = self._z
         mul(self._xs_col, self._w_col, z)
@@ -244,7 +266,7 @@ class NetworkJet:
         _sigmoid_stack(z, self._sig_parts)
 
         # n_l = sum_h v_h w_h^l sigma^(l), batched over l = 0..3
-        np.copyto(self._w1, w)
+        self._w1[...] = w
         mul(w, w, self._w2)
         mul(self._w2, w, self._w3)
         mul(self._v, self._wpow, self._vw_rows)
@@ -271,8 +293,8 @@ class NetworkJet:
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
 
-        mul(self._w1, 2.0, self._dw2)
-        mul(self._w2, 3.0, self._dw3)
+        mul(self._w1, _TWO, self._dw2)
+        mul(self._w2, _THREE, self._dw3)
         mul(self._wstack_l, self._s_b, self._prod_s)
         mul(self._tx_rows, self._wpow_b, self._prod_tx)
         add.reduce(self._prod, 0, None, self._sums_out)

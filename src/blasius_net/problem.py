@@ -11,7 +11,10 @@ returns loss and exact parameter gradient in one fused pass.  Training hits
 this path tens of thousands of times, so it works on a raw (S, 3, H) stack
 theta of S weight arrays (rows v, u, w, the layout of
 NetworkParams.weights) and returns one total per entry and a fresh
-(S, 3, H) gradient, rows d_v, d_u, d_w.  report and the module-level
+(S, 3, H) gradient, rows d_v, d_u, d_w.  Its cost is numpy call overhead,
+not arithmetic: a fixed set of array calls for the whole stack, the
+squared residuals and their running sums among them, and one Python
+expression per entry that adds its penalty.  report and the module-level
 loss and loss_gradient wrappers evaluate a stack of one.
 """
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams
+from .network import _HALF, _ONE, _TWO, NetworkParams
 from .trial import TrialSpec, TrialMode, trial_jet
 
 __all__ = [
@@ -90,11 +93,11 @@ class LossEvaluator:
     row, and (dL/dy1, 0, 0) on the end row, whose cotangent sits on y', y''
     and y'''.  This class adds the residual, the penalty and that cotangent,
     so one evaluate() call is a fixed handful of array operations for the
-    whole stack plus a short scalar tail per entry.  Each entry's total is its
-    squared residuals added left to right in grid order, then its penalty,
-    so it does not depend on the stack around it.  Scratch arrays are reused
-    between calls to keep the training loop cheap; everything returned is
-    fresh.
+    whole stack plus one expression per entry, its penalty.  Each entry's
+    total is its squared residuals added left to right in grid order (one
+    accumulate along the grid axis), then its penalty, so it does not depend
+    on the stack around it.  Scratch arrays are reused between calls to keep
+    the training loop cheap; everything returned is fresh.
     """
 
     def __init__(self, spec: TrialSpec, grid: CollocationGrid,
@@ -114,6 +117,7 @@ class LossEvaluator:
             orders = ((0, 2, 3),) * m + ((1, 2, 3),)
         self._rows = xs.size
         self._jet = trial_jet(spec, xs, orders)
+        self._two_lam = np.array(2.0 * lam)
         self._y = None
 
     def _bind(self, y: np.ndarray) -> None:
@@ -126,6 +130,10 @@ class LossEvaluator:
         self._y0, self._y2, self._y3 = flat[:, 0], flat[:, 2], flat[:, 3]
         self._c_y0, self._c_y2, self._c_y3 = jet.cotangent.reshape(size, 3).T
         self._r = np.empty(size)
+        self._r_grid = self._r.reshape(y.shape[0], rows)[:, :m]
+        # row i of _sq becomes the running sums of entry i's squared residuals
+        self._sq = np.empty((y.shape[0], m))
+        self._sums = self._sq[:, m - 1]
         if self.penalty_active:
             self._r_end = self._r[m::rows]
             self._y1_end = y[:, m, 1, 0]
@@ -143,40 +151,38 @@ class LossEvaluator:
         The caller decides whether numpy warns about it (np.errstate); the
         training loop silences it once around all of its calls.
         """
-        # hot path: out arguments are positional, since this runs once per
-        # training iteration
+        # hot path: out arguments are positional and constants are the
+        # network module's 0-d operands, since this runs once per training
+        # iteration
         mul = np.multiply
         jet = self._jet
         y = jet.forward(theta)
         if y is not self._y:
             self._bind(y)
         r = self._r
-        mul(self._y0, 0.5, r)
+        mul(self._y0, _HALF, r)
         mul(r, self._y2, r)
         np.add(r, self._y3, r)
 
-        # per entry: squares added left to right, then lambda * err * err
-        rows, m = self._rows, self.point_count
-        values = r.tolist()
-        totals = []
+        # per entry: squares added left to right, then lambda * err * err;
+        # accumulate adds in that order, where a reduce would use partial sums
+        sq = self._sq
+        mul(self._r_grid, self._r_grid, sq)
+        np.add.accumulate(sq, 1, None, sq)
         lam = self.penalty_weight
         errs = [0.0] * theta.shape[0]
         if self.penalty_active:
-            errs = np.subtract(self._y1_end, 1.0, self._err).tolist()
+            errs = np.subtract(self._y1_end, _ONE, self._err).tolist()
             # the end row carries the slope penalty, not a residual
             self._r_end.fill(0.0)
-        for err, start in zip(errs, range(0, len(values), rows)):
-            total = 0.0
-            for val in values[start:start + m]:
-                total += val * val
-            totals.append(total + lam * err * err)
+        totals = [total + lam * err * err for total, err in zip(self._sums.tolist(), errs)]
 
         mul(r, self._y2, self._c_y0)
         mul(r, self._y0, self._c_y2)
-        mul(r, 2.0, self._c_y3)
+        mul(r, _TWO, self._c_y3)
         if self.penalty_active:
             # the zero residual left 0 in the end row's y'' and y''' columns
-            mul(self._err, 2.0 * lam, self._c_y1_end)
+            mul(self._err, self._two_lam, self._c_y1_end)
         return totals, jet.pull()
 
     def report(self, params: NetworkParams) -> LossReport:

@@ -10,11 +10,11 @@ the loss differently, and so move the last bits of a run.
 One loop trains every seed of a sweep in lockstep: the weights of S seeds
 are one (S, 3, H) array theta with rows v, u, w per seed (the layout of
 NetworkParams.weights), with one velocity of the same shape and one
-learning rate, so the momentum step is three whole-array operations for all
-seeds.  A seed leaves the stack when it diverges, reaches the loss target or
-uses up its budget.  Every entry is computed independently of the others, so
-a seed's run is the same bit for bit alone (train is a stack of one) and at
-any position of a seed_sweep.
+learning rate, so the momentum step is four in-place whole-array
+operations for all seeds.  A seed leaves the stack when it diverges,
+reaches the loss target or uses up its budget.  Every entry is computed
+independently of the others, so a seed's run is the same bit for bit alone
+(train is a stack of one) and at any position of a seed_sweep.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .trial import TrialMode, TrialSpec
 __all__ = [
     "MOMENTUM_COEFF",
     "INIT_SCALE",
+    "SWEEP_MAX_RUNS",
     "XorShift64Star",
     "TrainingConfig",
     "TrainingRun",
@@ -49,6 +50,9 @@ __all__ = [
 
 MOMENTUM_COEFF = 0.9
 INIT_SCALE = 0.5  # initial weights are uniform in [-INIT_SCALE, INIT_SCALE)
+# ~7 KB of stacked scratch and outcome per seed at the documented setup, so
+# ~70 MB at the cap; more seeds than this is a typo, not a sweep
+SWEEP_MAX_RUNS = 10**4
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,18 +102,17 @@ class XorShift64Star:
         return low + (high - low) * unit
 
 
-def _draw_params(rng: XorShift64Star, hidden_count: int, scale: float) -> NetworkParams:
-    """3 * hidden_count uniforms in [-scale, scale) from rng, in the order v, then u, then w."""
+def _draw_params(rng: XorShift64Star, hidden_count: int, scale: float) -> np.ndarray:
+    """(3, hidden_count) uniforms in [-scale, scale) from rng, drawn row v, then u, then w."""
     draws = [rng.uniform(-scale, scale) for _ in range(3 * hidden_count)]
-    h = hidden_count
-    return NetworkParams(draws[:h], draws[h:2 * h], draws[2 * h:])
+    return np.array(draws).reshape(3, hidden_count)
 
 
 def init_params(seed: int, hidden_count: int) -> NetworkParams:
     """Uniform [-INIT_SCALE, INIT_SCALE) start from seed's stream, drawn v, then u, then w."""
     if hidden_count < 1:
         raise ValueError("hidden_count must be at least 1")
-    return _draw_params(XorShift64Star(seed), hidden_count, INIT_SCALE)
+    return NetworkParams(*_draw_params(XorShift64Star(seed), hidden_count, INIT_SCALE))
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,20 @@ class TrainingRun:
     initial_loss: float  # the loss before the first step
 
 
+def _momentum_step(theta: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                   coeff: np.ndarray, lr: np.ndarray) -> None:
+    """velocity = coeff * velocity + lr * grad, then theta -= velocity, all in place.
+
+    grad must be fresh: it is scaled in place, so the step needs no
+    temporary.  coeff and lr are 0-d float64 arrays, which a ufunc takes
+    without the conversion a Python float costs on every call.
+    """
+    grad *= lr
+    velocity *= coeff
+    velocity += grad
+    theta -= velocity
+
+
 def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     """Train one run per seed, all seeds as one (S, 3, H) stack moving in lockstep.
 
@@ -164,6 +181,7 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
     theta = np.array([init_params(seed, cfg.hidden_count).weights for seed in seeds])
     velocity = np.zeros_like(theta)
+    coeff, lr = np.array(MOMENTUM_COEFF), np.array(cfg.lr)
     outcomes = [None] * len(seeds)
     slots = list(range(len(seeds)))  # outcome slot of each stack entry
     budget, target = cfg.max_iterations, cfg.loss_target
@@ -188,10 +206,7 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
                     return outcomes
                 slots = [slots[entry] for entry in keep]
                 theta, velocity, grad = theta[keep], velocity[keep], grad[keep]
-            # momentum step, in place
-            velocity *= MOMENTUM_COEFF
-            velocity += cfg.lr * grad
-            theta -= velocity
+            _momentum_step(theta, velocity, grad, coeff, lr)
             used += 1
             totals, grad = evaluator.evaluate(theta)
 
@@ -210,8 +225,9 @@ def train(cfg: TrainingConfig) -> TrainingRun:
 
 def seed_sweep(cfg: TrainingConfig, run_count: int) -> list[TrainingRun | None]:
     """Train seeds cfg.seed .. cfg.seed + run_count - 1 in lockstep; None marks a diverged seed."""
-    if run_count < 1:
-        raise ValueError("run_count must be at least 1")
+    if not 1 <= run_count <= SWEEP_MAX_RUNS:
+        raise ValueError(f"run_count must be between 1 and SWEEP_MAX_RUNS = {SWEEP_MAX_RUNS}, "
+                         f"got {run_count}")
     seeds = [cfg.seed + offset for offset in range(run_count)]
     return [None if isinstance(outcome, TrainingDivergedError) else outcome
             for outcome in _train_lockstep(cfg, seeds)]

@@ -40,7 +40,7 @@ def test_round_trip_is_bit_exact(saved):
 
 
 def test_round_trip_paper_mode(tmp_path):
-    params = _draw_params(XorShift64Star(9), 2, 1.5)
+    params = NetworkParams(*_draw_params(XorShift64Star(9), 2, 1.5))
     spec = TrialSpec(TrialMode.PAPER, 6.0)
     path = tmp_path / "paper.txt"
     save_model(params, spec, path)

@@ -109,10 +109,10 @@ def test_init_params_draw_order_v_u_w():
     for scale in (INIT_SCALE, 0.25):
         rng = XorShift64Star(11)
         draws = [rng.uniform(-scale, scale) for _ in range(9)]
-        params = _draw_params(XorShift64Star(11), 3, scale)
-        assert params.weights.tolist() == [draws[0:3], draws[3:6], draws[6:9]]
+        weights = _draw_params(XorShift64Star(11), 3, scale)
+        assert weights.tolist() == [draws[0:3], draws[3:6], draws[6:9]]
     assert init_params(11, 3).weights.tobytes() == _draw_params(
-        XorShift64Star(11), 3, INIT_SCALE).weights.tobytes()
+        XorShift64Star(11), 3, INIT_SCALE).tobytes()
 
 
 def test_init_params_validation():
