@@ -23,6 +23,7 @@ import numpy as np
 
 from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
+from .network import NETWORK_MAX_HIDDEN
 from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
 from .profiles import format_float, open_output, write_profile_csv
 from .report import compare as compare_rows
@@ -40,7 +41,13 @@ from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
 
-PROFILE_MAX_POINTS = 10**6  # ~0.55 KB of jet per point; the oracle's row cap, RK4_MAX_STEPS
+# the oracle's row cap, RK4_MAX_STEPS; the jet runs one block of rows at a
+# time, and the columns hold ~70 B per point: a ~100 MB peak at the cap
+PROFILE_MAX_POINTS = 10**6
+# ~0.65 KB of jet per collocation point for one seed of 5 hidden units: a
+# ~100 MB peak at the cap, the same jet rows as SWEEP_MAX_RUNS seeds at the
+# documented setup
+SOLVE_MAX_POINTS = 10**5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_range(flag: str, value: int, low: int, cap_name: str, cap: int) -> None:
+    if not low <= value <= cap:
+        raise ValueError(f"{flag} must be between {low} and {cap_name} = {cap}, got {value}")
+
+
 def _cmd_solve(args) -> int:
+    # before the grid is allocated or a weight drawn
+    _check_range("--hidden", args.hidden, 1, "NETWORK_MAX_HIDDEN", NETWORK_MAX_HIDDEN)
+    _check_range("--points", args.points, 2, "SOLVE_MAX_POINTS", SOLVE_MAX_POINTS)
+    _check_range("--runs", args.runs, 1, "SWEEP_MAX_RUNS", SWEEP_MAX_RUNS)
     spec = TrialSpec(TrialMode(args.mode), args.domain_end)
     cfg = TrainingConfig(
         hidden_count=args.hidden,
@@ -114,9 +130,6 @@ def _cmd_solve(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    if not 1 <= args.runs <= SWEEP_MAX_RUNS:
-        raise ValueError(f"--runs must be between 1 and SWEEP_MAX_RUNS = {SWEEP_MAX_RUNS}, "
-                         f"got {args.runs}")
     # one seed stays on train, which names the iteration a divergence happened at
     runs = [train(cfg)] if args.runs == 1 else seed_sweep(cfg, args.runs)
     best = best_run(runs)
@@ -192,9 +205,7 @@ def _cmd_check_gradients(args) -> int:
 
 def _cmd_profile(args) -> int:
     params, spec = load_model(args.model)
-    if not 2 <= args.points <= PROFILE_MAX_POINTS:
-        raise ValueError(f"--points must be between 2 and PROFILE_MAX_POINTS = "
-                         f"{PROFILE_MAX_POINTS}, got {args.points}")
+    _check_range("--points", args.points, 2, "PROFILE_MAX_POINTS", PROFILE_MAX_POINTS)
     etas = np.linspace(0.0, spec.domain_end, args.points)
     profile = evaluate_profile(spec, params, etas)
     write_profile_csv(profile, args.out or sys.stdout)

@@ -117,13 +117,10 @@ def run_gradient_checks(draws: int = 100, seed: int = 0) -> list[GradCheckResult
 
     def jet_case(build, order: int):
         def value(stack, xs):
-            return build(xs[:, None], (order,)).forward(stack)[:, 0, order, 0]
+            return build(xs[:, None], (order,)).forward(stack)[:, 0, order]
 
         def gradient(stack, xs):
-            jet = build(xs[:, None], (order,))
-            jet.forward(stack)
-            jet.cotangent.fill(1.0)
-            return jet.pull()
+            return build(xs[:, None], (order,)).gradient(stack)
         return value, gradient
 
     def loss_case(evaluator: LossEvaluator):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetworkParams
+from .network import NETWORK_MAX_HIDDEN, NetworkParams
 from .profiles import format_float, open_output
 from .trial import TrialMode, TrialSpec
 
@@ -108,8 +108,9 @@ def load_model(path) -> tuple[NetworkParams, TrialSpec]:
         hidden = int(hidden_text)
     except ValueError:
         raise ModelFormatError(4, f"bad hidden count '{hidden_text}'") from None
-    if hidden < 1:
-        raise ModelFormatError(4, f"hidden count must be positive, got {hidden}")
+    if not 1 <= hidden <= NETWORK_MAX_HIDDEN:
+        raise ModelFormatError(4, f"hidden count must be between 1 and NETWORK_MAX_HIDDEN = "
+                                  f"{NETWORK_MAX_HIDDEN}, got {hidden}")
 
     v = _parse_weights(_expect_field(raw[4], 5, "v"), 5, "v", hidden)
     u = _parse_weights(_expect_field(raw[5], 6, "u"), 6, "u", hidden)

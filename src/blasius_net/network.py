@@ -26,15 +26,16 @@ NetworkJet is the one implementation of the rest.  It evaluates n_0..n_3 at
 fixed abscissae, maps them per row through a fixed linear map (a trial
 solution's Leibniz rule, or the identity for the bare network), and pulls
 cotangents on the mapped values back onto the weights: forward fills
-(S, rows, 4, 1) from a stack theta of S networks, (S, 3, H), the caller
-writes the cotangent buffer, and pull returns the (S, 3, H) gradient, each
-entry bit-identical to a stack of one.  The abscissae are shared by every
-entry, xs of shape (rows,), or given per entry, xs of shape (S, rows) with
-the map's offset and linear parts per entry too; an entry's bits are the
-same either way.  Training stacks its seeds on shared abscissae; the
+(S, rows, 4) from a stack theta of S networks, (S, 3, H), the caller
+writes the (S, rows, orders) cotangent buffer, and pull returns the
+(S, 3, H) gradient, each entry bit-identical to a stack of one; gradient
+does all three with a cotangent of ones.  The abscissae are shared by
+every entry, xs of shape (rows,), or given per entry, xs of shape (S, rows)
+with the map's offset and linear parts per entry too; an entry's bits are
+the same either way.  Training stacks its seeds on shared abscissae; the
 gradient audit stacks each block of draws, every draw's own weights and
-perturbations at that draw's abscissa.  values, gradient, input_derivative
-and param_gradient are stacks of one.
+perturbations at that draw's abscissa.  input_derivative and
+param_gradient are stacks of one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NETWORK_MAX_HIDDEN",
     "NetworkParams",
     "NetworkJet",
     "input_derivative",
@@ -51,6 +53,11 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 3
+# 5x the largest network the roadmap's recipes use (H = 80).  At the cap,
+# solve, profile and compare at their defaults peak at ~30 MB, the
+# interpreter's own; a profile's jet block (profiles.CSV_BLOCK rows) adds
+# ~50 KB per hidden unit, ~20 MB
+NETWORK_MAX_HIDDEN = 400
 
 
 def _constant(value: float) -> np.ndarray:
@@ -158,14 +165,15 @@ class NetworkJet:
     abscissae per entry, with offset (S, rows, 4) and linear
     (S, rows, 4, 4), and the jet then takes stacks of exactly S.
 
-    The protocol is forward, write the (S, rows, orders, 1) buffer
-    cotangent, pull.  cotangent_orders is one tuple of orders for every row
+    The protocol is forward, write the (S, rows, orders) buffer cotangent,
+    pull.  cotangent_orders is one tuple of orders for every row
     or one tuple per row, all of one length; column j of row r's cotangent
     sits on y_k, k = cotangent_orders[r][j].  pull maps it onto n through
     those rows of linear, transposed once at construction, then onto theta.
     Scratch buffers (y, cotangent and the rest) are allocated for one
-    (S, H) at a time and reused while it stays: the next forward overwrites
-    y, and pull reads the activations of the last forward.
+    (S, H) at a time and reused while it stays: forward returns the same y
+    on every call, overwritten, and pull reads the activations of the last
+    forward.
     """
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
@@ -204,8 +212,10 @@ class NetworkJet:
                              f"got {stack}")
         rows = self.xs.shape[-1]
         self._shape = shape
-        self.y = np.empty((stack, rows, 4, 1))
-        self.cotangent = np.empty((stack, rows, self._orders, 1))
+        # y and cotangent view the (..., 1) columns that np.matmul takes
+        self._y_col = np.empty((stack, rows, 4, 1))
+        self._cotangent_col = np.empty((stack, rows, self._orders, 1))
+        self.y, self.cotangent = self._y_col[..., 0], self._cotangent_col[..., 0]
         # forward copies theta here; its rows are (S, H) views, and (S, 1, H)
         # views for the products that broadcast over rows
         self._theta = np.empty(shape)
@@ -251,7 +261,7 @@ class NetworkJet:
         self._sum_parts = tuple(self._sums_out)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
-        """Fill and return the (S, rows, 4, 1) buffer y for a float64 (S, 3, H) theta."""
+        """Fill and return the (S, rows, 4) buffer y for a float64 (S, 3, H) theta."""
         # hot path: out arguments are positional, constants are the 0-d
         # operands above and copies are slice assignments (np.copyto
         # dispatches through Python), since training runs this once per
@@ -272,10 +282,10 @@ class NetworkJet:
         mul(self._v, self._wpow, self._vw_rows)
         np.matmul(self._sig_lo, self._vw, self._n_out)
 
-        y = self.y
+        y = self._y_col
         np.matmul(self._linear_b, self._n_t, y)
         np.add(y, self._offset, y)
-        return y
+        return self.y
 
     def pull(self) -> np.ndarray:
         """Pull the cotangent back onto a fresh (S, 3, H) gradient at the last forward's theta.
@@ -288,7 +298,7 @@ class NetworkJet:
         """
         mul = np.multiply
         add = np.add
-        np.matmul(self._adj, self.cotangent, self._k_out)
+        np.matmul(self._adj, self._cotangent_col, self._k_out)
         mul(self._k, self.xs, self._k_scaled)
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
@@ -306,21 +316,17 @@ class NetworkJet:
         mul(d_w, v, d_w)
         return self._sums[:, :3].copy()
 
-    def values(self, params: NetworkParams) -> np.ndarray:
-        """y_0..y_3 at every abscissa, as a fresh (rows, 4) array."""
-        return self.forward(params.weights[None])[0, :, :, 0].copy()
-
-    def gradient(self, params: NetworkParams) -> np.ndarray:
-        """Fresh (3, H) gradient of the selected outputs y_k, summed over rows and orders."""
-        self.forward(params.weights[None])
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Fresh (S, 3, H) gradient of the sum of each entry's selected outputs."""
+        self.forward(theta)
         self.cotangent.fill(1.0)
-        return self.pull()[0]
+        return self.pull()
 
 
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:
     """d^k N / dx^k at x: sum_i v_i w_i^k sigma^(k)(w_i x + u_i), k in 0..3."""
     _check_order(order, MAX_DERIVATIVE_ORDER)
-    return float(NetworkJet.bare([x]).values(params)[0, order])
+    return float(NetworkJet.bare([x]).forward(params.weights[None])[0, 0, order])
 
 
 def param_gradient(params: NetworkParams, x: float, order: int) -> np.ndarray:
@@ -333,4 +339,4 @@ def param_gradient(params: NetworkParams, x: float, order: int) -> np.ndarray:
         d/dw_i = v_i (k w_i^(k-1) sigma^(k)(z_i) + w_i^k x sigma^(k+1)(z_i))
     """
     _check_order(order, MAX_DERIVATIVE_ORDER)
-    return NetworkJet.bare([x], (order,)).gradient(params)
+    return NetworkJet.bare([x], (order,)).gradient(params.weights[None])[0]

@@ -14,8 +14,8 @@ NetworkParams.weights) and returns one total per entry and a fresh
 (S, 3, H) gradient, rows d_v, d_u, d_w.  Its cost is numpy call overhead,
 not arithmetic: a fixed set of array calls for the whole stack, the
 squared residuals and their running sums among them, and one Python
-expression per entry that adds its penalty.  report and the module-level
-loss and loss_gradient wrappers evaluate a stack of one.
+expression per entry that adds its penalty.  The module-level loss and
+loss_gradient wrappers evaluate a stack of one.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class LossEvaluator:
         self._y = None
 
     def _bind(self, y: np.ndarray) -> None:
-        """Flat views onto the jet's buffers, rebuilt whenever the jet reallocates them."""
+        """Flat views (reshapes, never copies) of the jet's buffers, rebuilt when it reallocates."""
         jet = self._jet
         rows, m = self._rows, self.point_count
         size = y.shape[0] * rows
@@ -136,9 +136,9 @@ class LossEvaluator:
         self._sums = self._sq[:, m - 1]
         if self.penalty_active:
             self._r_end = self._r[m::rows]
-            self._y1_end = y[:, m, 1, 0]
+            self._y1_end = y[:, m, 1]
             self._err = np.empty(y.shape[0])
-            self._c_y1_end = jet.cotangent[:, m, 0, 0]
+            self._c_y1_end = jet.cotangent[:, m, 0]
 
     def evaluate(self, theta: np.ndarray):
         """Return (totals, grad) for the float64 (S, 3, H) weight stack theta.
@@ -185,18 +185,16 @@ class LossEvaluator:
             mul(self._err, self._two_lam, self._c_y1_end)
         return totals, jet.pull()
 
-    def report(self, params: NetworkParams) -> LossReport:
-        with np.errstate(all="ignore"):
-            totals, _ = self.evaluate(params.weights[None])
-        err = float(self._err[0]) if self.penalty_active else 0.0
-        return LossReport(total=totals[0], residuals=self._r[:self.point_count],
-                          penalty_term=self.penalty_weight * err * err)
-
 
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
          penalty_weight: float = DEFAULT_PENALTY_WEIGHT) -> LossReport:
     """Collocation loss over the grid (plus far-slope penalty for the penalty family)."""
-    return LossEvaluator(spec, grid, penalty_weight).report(params)
+    evaluator = LossEvaluator(spec, grid, penalty_weight)
+    with np.errstate(all="ignore"):
+        (total,), _ = evaluator.evaluate(params.weights[None])
+    err = float(evaluator._err[0]) if evaluator.penalty_active else 0.0
+    return LossReport(total=total, residuals=evaluator._r[:evaluator.point_count],
+                      penalty_term=evaluator.penalty_weight * err * err)
 
 
 def loss_gradient(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,

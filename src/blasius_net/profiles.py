@@ -22,7 +22,9 @@ __all__ = ["SolutionProfile", "format_float", "open_output", "write_profile_csv"
 CSV_HEADER = "eta,f,fp,fpp"
 FLOAT_FORMAT = "%.17g"
 CSV_ROW = ",".join([FLOAT_FORMAT] * 4) + "\n"  # format_float on each column, one % per row
-CSV_BLOCK = 1024  # rows formatted per write, so memory stays flat in the row count
+# rows formatted per write, and evaluated per jet call by report.evaluate_profile,
+# so memory stays flat in the row count
+CSV_BLOCK = 1024
 JOIN_TOL = 1e-12  # largest |eta difference| at which index_of matches a row
 
 

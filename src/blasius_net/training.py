@@ -51,7 +51,8 @@ __all__ = [
 MOMENTUM_COEFF = 0.9
 INIT_SCALE = 0.5  # initial weights are uniform in [-INIT_SCALE, INIT_SCALE)
 # ~7 KB of stacked scratch and outcome per seed at the documented setup, so
-# ~70 MB at the cap; more seeds than this is a typo, not a sweep
+# ~70 MB at the cap there; it grows with hidden units times points (~21 KB
+# a seed at H = 20).  More seeds than this is a typo, not a sweep
 SWEEP_MAX_RUNS = 10**4
 
 _MASK64 = (1 << 64) - 1

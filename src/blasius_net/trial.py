@@ -117,13 +117,13 @@ def trial_jet(spec: TrialSpec, xs, cotangent_orders=(0,)) -> NetworkJet:
 
 def trial_value(spec: TrialSpec, params: NetworkParams, x: float) -> float:
     """y(x) = A(x) + F(x) N(x)."""
-    return float(trial_jet(spec, [x]).values(params)[0, 0])
+    return float(trial_jet(spec, [x]).forward(params.weights[None])[0, 0, 0])
 
 
 def trial_derivative(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> float:
     """k-th derivative of the trial solution at x, for k in 1..3 (Leibniz on F N)."""
     _check_order(order, 3, 1)
-    return float(trial_jet(spec, [x]).values(params)[0, order])
+    return float(trial_jet(spec, [x]).forward(params.weights[None])[0, 0, order])
 
 
 def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order: int) -> np.ndarray:
@@ -133,4 +133,4 @@ def trial_param_gradient(spec: TrialSpec, params: NetworkParams, x: float, order
     parameter gradient of the matching network derivative.
     """
     _check_order(order, 3)
-    return trial_jet(spec, [x], (order,)).gradient(params)
+    return trial_jet(spec, [x], (order,)).gradient(params.weights[None])[0]

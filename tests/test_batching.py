@@ -115,9 +115,10 @@ def as_params(flat):
 def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, mode, step):
     params = as_params(flat)
     jet = NetworkJet.bare([x]) if mode is None else trial_jet(TrialSpec(mode, 6.0), [x])
-    (stacked,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order, 0],
+    (stacked,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order],
                                    params.weights[None], step)
-    single = per_perturbation_gradient(lambda p: jet.values(p)[0, order], params, step)
+    single = per_perturbation_gradient(lambda p: jet.forward(p.weights[None])[0, 0, order],
+                                       params, step)
     assert stacked.tobytes() == single.tobytes()
 
 
@@ -128,7 +129,8 @@ def test_fd_loss_gradient_equals_per_perturbation_differences(flat, mode):
     evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(10, 6.0))
     (stacked,) = fd_param_gradient(lambda stack: evaluator.evaluate(stack)[0],
                                    params.weights[None])
-    single = per_perturbation_gradient(lambda p: evaluator.report(p).total, params, 1e-6)
+    single = per_perturbation_gradient(lambda p: evaluator.evaluate(p.weights[None])[0][0],
+                                       params, 1e-6)
     assert stacked.tobytes() == single.tobytes()
 
 
@@ -166,14 +168,13 @@ def test_per_entry_abscissae_match_shared_stack_of_one(kind, hidden, count, rows
     seed = data.draw(st.integers(0, 2**32 - 1), label="weights_seed")
     theta = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
     jet = build(xs, (order,))
-    values = jet.forward(theta)[:, :, :, 0].copy()
-    jet.cotangent.fill(1.0)
-    grads = jet.pull()
+    values = jet.forward(theta).copy()
+    grads = jet.gradient(theta)
     for entry in range(count):
         params = NetworkParams(*theta[entry])
         alone = build(xs[entry], (order,))
-        assert values[entry].tobytes() == alone.values(params).tobytes()
-        assert grads[entry].tobytes() == alone.gradient(params).tobytes()
+        assert values[entry].tobytes() == alone.forward(params.weights[None])[0].tobytes()
+        assert grads[entry].tobytes() == alone.gradient(params.weights[None])[0].tobytes()
 
 
 def jet_case(data, per_entry, count, rows):
@@ -202,7 +203,7 @@ def orders_of(width):
        orders=st.integers(1, 4).flatmap(orders_of), data=st.data())
 def test_equal_per_row_orders_match_the_tuple_form(kind, per_entry, count, rows, orders, data):
     xs, theta, rng = jet_case(data, per_entry, count, rows)
-    cotangent = rng.uniform(-2.0, 2.0, (count, rows, len(orders), 1))
+    cotangent = rng.uniform(-2.0, 2.0, (count, rows, len(orders)))
     build = jet_builder(kind)
     values, grad = pulled(build(xs, orders), theta, cotangent)
     row_values, row_grad = pulled(build(xs, (orders,) * rows), theta, cotangent)
@@ -217,7 +218,7 @@ def test_equal_per_row_orders_match_the_tuple_form(kind, per_entry, count, rows,
 def test_per_row_orders_pull_the_sum_of_one_row_jets(kind, per_entry, count, rows, width, data):
     xs, theta, rng = jet_case(data, per_entry, count, rows)
     per_row = [data.draw(orders_of(width), label=f"orders {r}") for r in range(rows)]
-    cotangent = rng.uniform(-2.0, 2.0, (count, rows, width, 1))
+    cotangent = rng.uniform(-2.0, 2.0, (count, rows, width))
     build = jet_builder(kind)
     _, grad = pulled(build(xs, per_row), theta, cotangent)
     expected = sum(pulled(build(xs[..., r:r + 1], per_row[r]), theta, cotangent[:, r:r + 1])[1]
@@ -244,7 +245,7 @@ def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x
         objective = lambda stack: evaluator.evaluate(stack)[0]  # noqa: E731
     else:
         jet = jet_builder(kind)([x])
-        objective = lambda stack: jet.forward(stack)[:, 0, order, 0]  # noqa: E731
+        objective = lambda stack: jet.forward(stack)[:, 0, order]  # noqa: E731
     stack = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
     stacked = fd_param_gradient(objective, stack, step)
     assert stacked.shape == stack.shape

@@ -12,11 +12,12 @@ import pytest
 
 from blasius_net import problem
 from blasius_net.cli import build_parser, run_cli
-from blasius_net.model_io import load_model
+from blasius_net.model_io import load_model, save_model
 from blasius_net.oracles import rk4_profile, series_eval, shoot
 from blasius_net.profiles import format_float
 from blasius_net.tables import load_table
-from blasius_net.training import TrainingConfig
+from blasius_net.training import TrainingConfig, init_params
+from blasius_net.trial import TrialMode, TrialSpec
 
 from helpers import read_profile_csv
 
@@ -130,11 +131,15 @@ def test_solve_defaults_are_the_training_config():
     # the audit stacks a block's draws apart from their 2 * 3H perturbations each
     ["check-gradients", "--draws", "25", "--seed", "0"],
     ["solve", "--iterations", "50", "--out", "OUT"],  # one seed runs through train
-], ids=["solve", "check-gradients", "single"])
+    # 40 hidden units on 20001 rows: products OpenBLAS would split over threads
+    ["profile", "--model", "MODEL40", "--points", "20001", "--out", "OUT"],
+], ids=["solve", "check-gradients", "single", "profile"])
 def test_bytes_ignore_thread_count_and_hash_seed(command, tmp_path):
     out = tmp_path / "out.txt"
-    argv = [sys.executable, "-m", "blasius_net.cli",
-            *[str(out) if arg == "OUT" else arg for arg in command]]
+    model = tmp_path / "model40.txt"
+    save_model(init_params(0, 40), TrialSpec(TrialMode.PENALTY, 6.0), model)
+    paths = {"OUT": str(out), "MODEL40": str(model)}
+    argv = [sys.executable, "-m", "blasius_net.cli", *[paths.get(arg, arg) for arg in command]]
     src = Path(__file__).resolve().parents[1] / "src"
     seen = set()
     for threads, hash_seed in [("1", "0"), ("2", "1"), ("1", "1"), ("2", "0")]:

@@ -61,7 +61,7 @@ BLOCKS_FINGERPRINT = [
 def test_fd_param_gradient_matches_analytic_forward():
     params = NetworkParams([0.4, -0.9], [0.2, 0.1], [1.1, -0.3])
     jet = NetworkJet.bare([1.3])
-    (numeric,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, 0, 0],
+    (numeric,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, 0],
                                    params.weights[None])
     analytic = param_gradient(params, 1.3, 0)
     assert np.allclose(numeric[0], analytic[0], atol=1e-8)

@@ -1,9 +1,10 @@
-"""The batched jet kernel against the scalar per-unit references in helpers."""
+"""The batched jet kernel against the scalar per-unit references in helpers, and its buffers."""
 
 import numpy as np
 import pytest
 
 from blasius_net.network import NetworkJet, input_derivative, param_gradient
+from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.report import evaluate_profile
 from blasius_net.trial import (
     TrialMode,
@@ -41,7 +42,7 @@ def draws(seed, count=20, hidden=5):
 
 def test_bare_jet_matches_per_unit_sums():
     for params, xs in draws(101):
-        values = NetworkJet.bare(xs).values(params)
+        values = NetworkJet.bare(xs).forward(params.weights[None])[0]
         expected = [[ref_input_derivative(params, x, k) for k in range(4)] for x in xs.tolist()]
         close(values, expected)
 
@@ -49,7 +50,7 @@ def test_bare_jet_matches_per_unit_sums():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.mode.value)
 def test_trial_jet_matches_leibniz_loop(spec):
     for params, xs in draws(103):
-        values = trial_jet(spec, xs).values(params)
+        values = trial_jet(spec, xs).forward(params.weights[None])[0]
         expected = [[ref_trial_derivative(spec, params, x, k) for k in range(4)]
                     for x in xs.tolist()]
         close(values, expected)
@@ -58,7 +59,7 @@ def test_trial_jet_matches_leibniz_loop(spec):
 def test_bare_pullback_matches_per_unit_gradients():
     orders = (0, 1, 3)
     for params, xs in draws(107):
-        got = NetworkJet.bare(xs, orders).gradient(params)
+        got = NetworkJet.bare(xs, orders).gradient(params.weights[None])[0]
         expected = [sum(ref_param_gradient(params, x, k)[group] for x in xs.tolist() for k in orders)
                     for group in range(3)]
         for part, ref in zip(got, expected):
@@ -69,7 +70,7 @@ def test_bare_pullback_matches_per_unit_gradients():
 def test_trial_pullback_matches_leibniz_gradients(spec):
     orders = (0, 2, 3)
     for params, xs in draws(109):
-        got = trial_jet(spec, xs, orders).gradient(params)
+        got = trial_jet(spec, xs, orders).gradient(params.weights[None])[0]
         expected = [sum(ref_trial_param_gradient(spec, params, x, k)[group]
                         for x in xs.tolist() for k in orders)
                     for group in range(3)]
@@ -107,6 +108,37 @@ def test_jet_reuses_buffers_across_hidden_counts():
     jet = NetworkJet.bare([0.5, 1.5])
     for hidden in (3, 7, 3):
         params = random_params(np.random.default_rng(hidden), hidden)
-        close(jet.values(params),
+        close(jet.forward(params.weights[None])[0],
               [[ref_input_derivative(params, x, k) for k in range(4)] for x in (0.5, 1.5)])
 
+
+
+def test_forward_returns_one_stored_buffer_per_stack_shape():
+    jet = NetworkJet.bare([0.5, 1.5, 2.5], (0, 2))
+    theta = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 3, 4))
+    y = jet.forward(theta)
+    first = y.copy()
+    assert y.shape == (2, 3, 4) and jet.cotangent.shape == (2, 3, 2)
+    assert jet.forward(2.0 * theta) is y
+    assert not np.array_equal(y, first)  # overwritten in place
+    smaller = jet.forward(theta[:1])
+    assert smaller is not y and smaller.shape == (1, 3, 4)
+    assert jet.forward(theta[1:]) is smaller
+
+
+@pytest.mark.parametrize("mode", [TrialMode.PAPER, TrialMode.PENALTY])
+def test_evaluator_views_share_the_jets_buffers(mode):
+    # a view that silently became a copy would leave evaluate reading stale values
+    evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(10, 6.0))
+    rng = np.random.default_rng(7)
+    for stack in (3, 1):
+        evaluator.evaluate(rng.uniform(-1.0, 1.0, (stack, 3, 5)))
+        jet = evaluator._jet
+        views = {"y": [evaluator._y0, evaluator._y2, evaluator._y3],
+                 "cotangent": [evaluator._c_y0, evaluator._c_y2, evaluator._c_y3]}
+        if evaluator.penalty_active:
+            views["y"].append(evaluator._y1_end)
+            views["cotangent"].append(evaluator._c_y1_end)
+        for buffer, bound in views.items():
+            for view in bound:
+                assert np.shares_memory(view, getattr(jet, buffer)), buffer

@@ -16,7 +16,7 @@ from blasius_net.model_io import (
     load_model,
     save_model,
 )
-from blasius_net.network import NetworkParams
+from blasius_net.network import NETWORK_MAX_HIDDEN, NetworkParams
 from blasius_net.training import XorShift64Star, _draw_params, init_params
 from blasius_net.trial import TrialMode, TrialSpec
 
@@ -120,6 +120,16 @@ def test_load_reports_offending_line(saved, tmp_path, line_index, text, expected
     with pytest.raises(ModelFormatError) as excinfo:
         load_model(bad)
     assert excinfo.value.line_number == expected_line
+
+
+def test_load_names_hidden_past_the_cap(saved, tmp_path):
+    _, _, path = saved
+    bad = corrupt(tmp_path / "bad.txt", path,
+                  lambda L: L.__setitem__(3, f"hidden={NETWORK_MAX_HIDDEN + 1}"))
+    with pytest.raises(ModelFormatError, match=f"NETWORK_MAX_HIDDEN = {NETWORK_MAX_HIDDEN}, "
+                                               f"got {NETWORK_MAX_HIDDEN + 1}") as excinfo:
+        load_model(bad)
+    assert excinfo.value.line_number == 4  # before the weight lines are parsed
 
 
 def test_load_rejects_truncated_file(saved, tmp_path):

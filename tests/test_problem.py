@@ -129,9 +129,9 @@ def test_loss_matches_bruteforce_recomputation():
 def test_loss_report_parts_sum_to_total_bit_for_bit(spec, weight, points):
     # the LossReport identity: squares added left to right in grid order, then the penalty
     rng = np.random.default_rng(points * 100 + int(weight * 10))
-    evaluator = LossEvaluator(spec, CollocationGrid.equidistant(points, 6.0), weight)
+    grid = CollocationGrid.equidistant(points, 6.0)
     for _ in range(20):
-        report = evaluator.report(random_params(rng, 5, scale=2.0))
+        report = loss(spec, random_params(rng, 5, scale=2.0), grid, weight)
         total = 0.0
         for r in report.residuals.tolist():
             total += r * r

@@ -1,10 +1,16 @@
 """Unit tests for profile evaluation and reference-table comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from blasius_net.network import NetworkParams
 from blasius_net.oracles import rk4_profile, shoot
+from blasius_net.profiles import CSV_BLOCK
 from blasius_net.report import compare, evaluate_profile, relative_error
 from blasius_net.tables import load_table
 from blasius_net.trial import TrialMode, TrialSpec
@@ -33,6 +39,35 @@ def test_evaluate_profile_with_silent_network():
     assert np.allclose(profile.f, [0.0, 2.0, 12.0], rtol=1e-15)
     assert np.allclose(profile.fp, [0.0, 5.0, 16.0], rtol=1e-15)
     assert np.allclose(profile.fpp, [2.0, 8.0, 14.0], rtol=1e-15)
+
+
+# prints whether evaluate_profile's blocks give the bytes of one whole-array
+# forward, for each hidden count
+BLOCKED_AGAINST_WHOLE = """
+import sys
+import numpy as np
+from blasius_net.report import evaluate_profile
+from blasius_net.training import init_params
+from blasius_net.trial import TrialMode, TrialSpec, trial_jet
+spec = TrialSpec(TrialMode.PENALTY, 6.0)
+etas = np.linspace(0.0, 6.0, int(sys.argv[1]))
+for hidden in map(int, sys.argv[2:]):
+    params = init_params(0, hidden)
+    profile = evaluate_profile(spec, params, etas)
+    whole = trial_jet(spec, etas).forward(params.weights[None])[0]
+    print(hidden, all(np.array_equal(getattr(profile, name), whole[:, k])
+                      for k, name in enumerate(("f", "fp", "fpp"))))
+"""
+
+
+def test_blocked_profile_equals_one_whole_array_forward():
+    # two full blocks and a tail of five rows; one BLAS thread, at which a
+    # whole-array product's bytes do not depend on the host
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", BLOCKED_AGAINST_WHOLE, str(2 * CSV_BLOCK + 5),
+                           "5", "40"], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "5 True\n40 True\n"
 
 
 def test_evaluate_profile_rejects_outside_domain():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blasius_net import cli, network, training
-from blasius_net.network import _sigmoid_stack
+from blasius_net.network import NETWORK_MAX_HIDDEN, _sigmoid_stack
 from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.training import MOMENTUM_COEFF, SWEEP_MAX_RUNS, TrainingConfig, seed_sweep
 from blasius_net.trial import TrialMode, TrialSpec
@@ -71,7 +71,7 @@ def test_momentum_step_equals_its_formula(stack):
 
 def python_totals(evaluator, lam):
     """Each entry's squared residuals added left to right in Python, then lam * err * err."""
-    y = evaluator._jet.y[..., 0].tolist()  # read after evaluate: (S, rows, 4)
+    y = evaluator._jet.y.tolist()  # read after evaluate: (S, rows, 4)
     m = evaluator.point_count
     totals = []
     for rows in y:
@@ -139,3 +139,21 @@ def test_solve_names_runs_past_the_cap(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: --runs must be between 1 and SWEEP_MAX_RUNS = "
                             f"{SWEEP_MAX_RUNS}, got {SWEEP_MAX_RUNS + 1}\n")
+
+
+@pytest.mark.parametrize("flag,low,cap_name,cap", [
+    ("--hidden", 1, "NETWORK_MAX_HIDDEN", NETWORK_MAX_HIDDEN),
+    ("--points", 2, "SOLVE_MAX_POINTS", cli.SOLVE_MAX_POINTS),
+])
+def test_solve_names_hidden_and_points_past_their_caps(flag, low, cap_name, cap, monkeypatch,
+                                                       capsys):
+    refuse_draws(monkeypatch)
+
+    def refuse_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+    monkeypatch.setattr(CollocationGrid, "equidistant", refuse_grid)
+    assert cli.run_cli(["solve", flag, str(cap + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} must be between {low} and {cap_name} = {cap}, "
+                            f"got {cap + 1}\n")

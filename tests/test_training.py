@@ -157,8 +157,8 @@ def test_train_single_iteration_bookkeeping():
     # initial_loss is the loss of the seed's start, final_loss that after the one step
     evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
     start = init_params(cfg.seed, cfg.hidden_count)
-    assert run.initial_loss == evaluator.report(start).total
-    assert run.final_loss == evaluator.report(run.final_params).total
+    assert run.initial_loss == evaluator.evaluate(start.weights[None])[0][0]
+    assert run.final_loss == evaluator.evaluate(run.final_params.weights[None])[0][0]
 
 
 def test_train_replays_momentum_update():
@@ -174,7 +174,7 @@ def test_train_replays_momentum_update():
     run = train(cfg)
     assert np.array_equal(run.final_params.weights, params)
     # the loop's last loss is the loss a fresh evaluation of the final params gives
-    assert run.final_loss == evaluator.report(run.final_params).total
+    assert run.final_loss == evaluator.evaluate(run.final_params.weights[None])[0][0]
 
 
 def test_seed_sweep_fingerprint_is_bit_exact():
