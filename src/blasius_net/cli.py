@@ -154,9 +154,8 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     if not (math.isfinite(args.eta_max) and args.eta_max > 0.0):  # NaN fails both
         raise ValueError(f"--eta-max must be finite and positive, got {args.eta_max}")
-    # always shoot against a far horizon, even when a short profile is asked for;
-    # --step sets the output grid only, so sigma does not depend on it
-    sigma = shoot(eta_far=max(args.eta_max, 10.0), tol=args.tol)
+    # sigma comes from its own run; --eta-max and --step set the output grid only
+    sigma = shoot(tol=args.tol)
     profile = rk4_profile(sigma, args.eta_max, args.step)
     write_profile_csv(profile, args.out or sys.stdout, comments={"sigma": format_float(sigma)})
     if args.out:
@@ -226,11 +225,11 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # no numpy warning reaches stderr: a non-finite value ends in a named error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except Exception as exc:  # CLI boundary: the one place an error line is printed
-        # str() of a KeyError is the repr of its message, quotes included
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

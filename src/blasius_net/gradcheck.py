@@ -47,25 +47,25 @@ class GradCheckResult:
     passed: bool
 
 
-def fd_param_gradient(objective, weights, step: float = FD_STEP) -> np.ndarray:
+def fd_param_gradient(objective, weights) -> np.ndarray:
     """Central-difference gradient of an objective at each of D weight sets.
 
     weights is a (D, 3, H) stack of weight sets; the result has its shape.
     objective maps a (K, 3, H) stack of weight sets to their K values.  It
     is called once, on 2 * 3H sets per weight set, in order: for each weight
-    set, the 3H sets that shift one of its weights by +step, then the 3H
-    that shift it by -step.
+    set, the 3H sets that shift one of its weights by +FD_STEP, then the 3H
+    that shift it by -FD_STEP.
     """
     weights = np.asarray(weights, np.float64)
     count = weights.shape[-2] * weights.shape[-1]
     sets = weights.reshape(-1, 1, 1, count)
     stack = np.broadcast_to(sets, (sets.shape[0], 2, count, count)).copy()
     diagonal = np.arange(count)
-    stack[:, 0, diagonal, diagonal] += step
-    stack[:, 1, diagonal, diagonal] -= step
+    stack[:, 0, diagonal, diagonal] += FD_STEP
+    stack[:, 1, diagonal, diagonal] -= FD_STEP
     values = np.array(objective(stack.reshape((-1,) + weights.shape[-2:])), dtype=np.float64)
     values = values.reshape(-1, 2, count)
-    return ((values[:, 0] - values[:, 1]) / (2.0 * step)).reshape(weights.shape)
+    return ((values[:, 0] - values[:, 1]) / (2.0 * FD_STEP)).reshape(weights.shape)
 
 
 def gradient_discrepancy(analytic, numeric) -> float:

@@ -16,17 +16,19 @@ Writes go to a temp file in the target directory and are renamed into place.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .network import NETWORK_MAX_HIDDEN, NetworkParams
 from .profiles import format_float, open_output
 from .trial import TrialMode, TrialSpec
 
-__all__ = ["MODEL_HEADER", "ModelFormatError", "ModelVersionError", "save_model", "load_model"]
+__all__ = ["MODEL_HEADER", "MODEL_MAX_BYTES", "ModelFormatError", "ModelVersionError",
+           "save_model", "load_model"]
 
 MODEL_HEADER = "blasius-net-model v1"
+# the largest valid model (NETWORK_MAX_HIDDEN units, 24-character entries)
+# takes ~30 KB; load_model reads no more than this
+MODEL_MAX_BYTES = 64 * 1024
 _HEADER_PREFIX = "blasius-net-model "
 
 
@@ -78,8 +80,16 @@ def _parse_weights(text: str, line_number: int, key: str, hidden: int) -> np.nda
 
 
 def load_model(path) -> tuple[NetworkParams, TrialSpec]:
-    """Parse a model file back into (params, spec); exact inverse of save_model."""
-    data = Path(path).read_bytes()
+    """Parse a model file back into (params, spec); exact inverse of save_model.
+
+    Reads at most MODEL_MAX_BYTES + 1 bytes: a longer file is refused on the
+    line that crosses the cap.
+    """
+    with open(path, "rb") as stream:
+        data = stream.read(MODEL_MAX_BYTES + 1)
+    if len(data) > MODEL_MAX_BYTES:
+        raise ModelFormatError(data.count(b"\n", 0, MODEL_MAX_BYTES) + 1,
+                               f"model file longer than MODEL_MAX_BYTES = {MODEL_MAX_BYTES} bytes")
     try:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -41,28 +41,18 @@ DEFAULT_PENALTY_WEIGHT = 10.0
 
 @dataclass(frozen=True)
 class CollocationGrid:
-    """Strictly increasing, non-negative training abscissae."""
+    """Locked training abscissae; build one with equidistant."""
 
     points: np.ndarray
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 1:
-            raise ValueError("grid needs at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
-        if np.any(pts < 0.0):
-            raise ValueError("grid points must be non-negative")
-        if pts.size > 1 and np.any(np.diff(pts) <= 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
     @classmethod
     def equidistant(cls, count: int, domain_end: float) -> "CollocationGrid":
+        """count equidistant points on [0, domain_end], both ends included."""
         if count < 2:
             raise ValueError("equidistant grid needs at least two points")
-        return cls(np.linspace(0.0, domain_end, count))
+        points = np.linspace(0.0, domain_end, count)
+        points.flags.writeable = False
+        return cls(points)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class ReferenceTable:
             if col.label == key:
                 return col
         labels = ", ".join(col.label for col in self.references)
-        raise KeyError(f"table {self.table_id} has no column '{key}' (have: {labels})")
+        raise ValueError(f"table {self.table_id} has no column '{key}' (have: {labels})")
 
 
 def fixtures_dir() -> Path:

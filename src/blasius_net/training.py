@@ -36,6 +36,7 @@ __all__ = [
     "MOMENTUM_COEFF",
     "INIT_SCALE",
     "SWEEP_MAX_RUNS",
+    "LOSS_TARGET",
     "XorShift64Star",
     "TrainingConfig",
     "TrainingRun",
@@ -54,6 +55,7 @@ INIT_SCALE = 0.5  # initial weights are uniform in [-INIT_SCALE, INIT_SCALE)
 # ~70 MB at the cap there; it grows with hidden units times points (~21 KB
 # a seed at H = 20).  More seeds than this is a typo, not a sweep
 SWEEP_MAX_RUNS = 10**4
+LOSS_TARGET = 1e-8  # a seed stops once its loss is at or below this
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,22 +128,18 @@ class TrainingConfig:
     lr: float = 1e-4
     penalty_weight: float = DEFAULT_PENALTY_WEIGHT
     max_iterations: int = 50000
-    loss_target: float = 1e-8
     seed: int = 0
-    grid: CollocationGrid = field(init=False, compare=False)
 
     def __post_init__(self):
-        # the grid comes first, so its point count is the first fault reported
-        object.__setattr__(self, "grid",
-                           CollocationGrid.equidistant(self.points, self.trial.domain_end))
+        # the point count first, so it is the first fault reported
+        if self.points < 2:
+            raise ValueError("points: an equidistant grid needs at least two points")
         if self.hidden_count < 1:
             raise ValueError("hidden_count must be at least 1")
         if not np.isfinite(self.lr) or self.lr <= 0.0:
             raise ValueError("lr must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not np.isfinite(self.loss_target) or self.loss_target < 0.0:
-            raise ValueError("loss_target must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -175,17 +173,18 @@ def _train_lockstep(cfg: TrainingConfig, seeds: list[int]) -> list:
 
     Returns one outcome per seed, in order: its TrainingRun, or the
     TrainingDivergedError of the iteration at which its loss stopped being
-    finite.  A seed leaves the stack once it diverges, reaches the loss
-    target or uses up the iteration budget; the others carry on.
+    finite.  A seed leaves the stack once it diverges, reaches LOSS_TARGET
+    (read at each call) or uses up the iteration budget; the others carry on.
     """
-    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
+    grid = CollocationGrid.equidistant(cfg.points, cfg.trial.domain_end)
+    evaluator = LossEvaluator(cfg.trial, grid, cfg.penalty_weight)
     # theta and velocity are loop-owned (S, 3, H) arrays, rows v, u, w
     theta = np.array([init_params(seed, cfg.hidden_count).weights for seed in seeds])
     velocity = np.zeros_like(theta)
     coeff, lr = np.array(MOMENTUM_COEFF), np.array(cfg.lr)
     outcomes = [None] * len(seeds)
     slots = list(range(len(seeds)))  # outcome slot of each stack entry
-    budget, target = cfg.max_iterations, cfg.loss_target
+    budget, target = cfg.max_iterations, LOSS_TARGET
     used = 0
     with np.errstate(all="ignore"):
         totals, grad = evaluator.evaluate(theta)

@@ -10,6 +10,7 @@ form and to a sum of one-row jets.
 """
 
 import dataclasses
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blasius_net.gradcheck import fd_param_gradient
+from blasius_net import training
+from blasius_net.gradcheck import FD_STEP, fd_param_gradient
 from blasius_net.network import NetworkJet, NetworkParams
 from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.training import TrainingConfig, TrainingDivergedError, seed_sweep, train
@@ -30,9 +32,18 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 CONFIGS = {
     "plain": TrainingConfig(max_iterations=40),
     "diverging": TrainingConfig(lr=3e-4, max_iterations=40),
-    "early_stop": TrainingConfig(loss_target=0.05, max_iterations=160),
+    "early_stop": TrainingConfig(max_iterations=160),
     "paper": TrainingConfig(trial=TrialSpec(TrialMode.PAPER, 6.0), max_iterations=20),
 }
+LOSS_TARGETS = {"early_stop": 0.05}  # the others train to training.LOSS_TARGET
+
+
+@contextmanager
+def loss_target_of(name):
+    """training.LOSS_TARGET set for the named neighbourhood, restored on exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "LOSS_TARGET", LOSS_TARGETS.get(name, training.LOSS_TARGET))
+        yield
 
 
 def outcome_alone(cfg):
@@ -60,9 +71,12 @@ def test_neighbourhoods_hold_what_they_promise():
         assert exc.iteration == 6
     else:
         raise AssertionError("seed 0 should diverge")
-    early = seed_sweep(CONFIGS["early_stop"], 8)
+    with loss_target_of("early_stop"):
+        early = seed_sweep(CONFIGS["early_stop"], 8)
     stopped = [i for i, run in enumerate(early) if run.iterations_used < 160]
     assert stopped == [1, 3, 6]
+    # the target is read when the sweep runs: at the default none of them stops early
+    assert all(run.iterations_used == 160 for run in seed_sweep(CONFIGS["early_stop"], 8))
 
 
 @PROPERTY
@@ -72,9 +86,10 @@ def test_seed_runs_alike_alone_and_in_any_sweep_position(name, hidden, start, da
     cfg = dataclasses.replace(CONFIGS[name], hidden_count=hidden, seed=start)
     count = data.draw(st.integers(1, 20), label="run_count")
     position = data.draw(st.integers(0, count - 1), label="position")
-    swept = seed_sweep(cfg, count)
+    with loss_target_of(name):
+        swept = seed_sweep(cfg, count)
+        alone = outcome_alone(dataclasses.replace(cfg, seed=start + position))
     assert len(swept) == count
-    alone = outcome_alone(dataclasses.replace(cfg, seed=start + position))
     assert same_run(swept[position], alone)
 
 
@@ -85,17 +100,17 @@ def test_full_width_sweep_matches_every_seed_alone():
         assert same_run(run, outcome_alone(dataclasses.replace(cfg, seed=seed)))
 
 
-def per_perturbation_gradient(objective, params, step):
-    """The central difference one perturbed weight set at a time."""
+def per_perturbation_gradient(objective, params):
+    """The central difference one perturbed weight set at a time, at the audit's FD_STEP."""
     grad = np.empty(params.weights.shape)
     for group in range(3):
         for i in range(params.hidden_count):
             shifted = []
-            for delta in (+step, -step):
+            for delta in (+FD_STEP, -FD_STEP):
                 weights = params.weights.copy()
                 weights[group, i] += delta
                 shifted.append(objective(NetworkParams(*weights)))
-            grad[group, i] = (shifted[0] - shifted[1]) / (2.0 * step)
+            grad[group, i] = (shifted[0] - shifted[1]) / (2.0 * FD_STEP)
     return grad
 
 
@@ -110,15 +125,14 @@ def as_params(flat):
 
 @PROPERTY
 @given(flat=weights_strategy, x=st.floats(0.0, 6.0), order=st.integers(0, 3),
-       mode=st.sampled_from([None, TrialMode.PAPER, TrialMode.PENALTY]),
-       step=st.sampled_from([1e-6, 1e-3]))
-def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, mode, step):
+       mode=st.sampled_from([None, TrialMode.PAPER, TrialMode.PENALTY]))
+def test_fd_param_gradient_equals_per_perturbation_differences(flat, x, order, mode):
     params = as_params(flat)
     jet = NetworkJet.bare([x]) if mode is None else trial_jet(TrialSpec(mode, 6.0), [x])
     (stacked,) = fd_param_gradient(lambda stack: jet.forward(stack)[:, 0, order],
-                                   params.weights[None], step)
+                                   params.weights[None])
     single = per_perturbation_gradient(lambda p: jet.forward(p.weights[None])[0, 0, order],
-                                       params, step)
+                                       params)
     assert stacked.tobytes() == single.tobytes()
 
 
@@ -130,7 +144,7 @@ def test_fd_loss_gradient_equals_per_perturbation_differences(flat, mode):
     (stacked,) = fd_param_gradient(lambda stack: evaluator.evaluate(stack)[0],
                                    params.weights[None])
     single = per_perturbation_gradient(lambda p: evaluator.evaluate(p.weights[None])[0][0],
-                                       params, 1e-6)
+                                       params)
     assert stacked.tobytes() == single.tobytes()
 
 
@@ -236,9 +250,8 @@ def test_per_entry_jet_takes_stacks_of_its_own_size():
 @PROPERTY
 @given(kind=st.sampled_from(["bare", "paper", "penalty", "loss"]), hidden=st.integers(1, 6),
        count=st.integers(1, 5), x=st.floats(0.0, 6.0), order=st.integers(0, 3),
-       step=st.sampled_from([1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
-def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x, order, step,
-                                                          seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x, order, seed):
     if kind == "loss":
         evaluator = LossEvaluator(TrialSpec(TrialMode.PENALTY, 6.0),
                                   CollocationGrid.equidistant(10, 6.0))
@@ -247,8 +260,8 @@ def test_fd_param_gradient_of_a_stack_equals_single_calls(kind, hidden, count, x
         jet = jet_builder(kind)([x])
         objective = lambda stack: jet.forward(stack)[:, 0, order]  # noqa: E731
     stack = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 3, hidden))
-    stacked = fd_param_gradient(objective, stack, step)
+    stacked = fd_param_gradient(objective, stack)
     assert stacked.shape == stack.shape
     for weights, grad in zip(stack, stacked):
-        (single,) = fd_param_gradient(objective, weights[None], step)
+        (single,) = fd_param_gradient(objective, weights[None])
         assert grad.tobytes() == single.tobytes()

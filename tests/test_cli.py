@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,6 @@ def test_solve_defaults_are_the_training_config():
     assert args.hidden == cfg.hidden_count
     assert args.points == cfg.points
     assert args.domain_end == cfg.trial.domain_end
-    assert np.array_equal(problem.CollocationGrid.equidistant(args.points, args.domain_end).points,
-                          cfg.grid.points)
     assert args.seed == cfg.seed
     assert args.iterations == cfg.max_iterations
     assert args.lr == cfg.lr
@@ -186,7 +185,20 @@ def test_oracle_stdout(capsys):
     assert captured.out.splitlines()[0] == f"# sigma = {format_float(shoot())}"
     # a far field that cannot settle to --tol fails with the oracle's message
     assert run_cli(["oracle", "--tol", "1e-30"]) == 1
-    assert "far field not settled" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: far field not settled: |f''(10.0)| = 1.906e-18 "
+                                       "exceeds tol = 1e-30\n")
+
+
+def test_oracle_sigma_ignores_the_profile_horizon(tmp_path, capsys):
+    # sigma is shot to eta = 10, where |f''| = 1.9e-18: a longer run gives the same bits
+    far, near = tmp_path / "far.csv", tmp_path / "near.csv"
+    assert run_cli(["oracle", "--eta-max", "100", "--out", str(far)]) == 0
+    far_out = capsys.readouterr().out
+    assert run_cli(["oracle", "--out", str(near)]) == 0
+    near_out = capsys.readouterr().out
+    assert far_out.splitlines()[0] == near_out.splitlines()[0] == (
+        f"sigma = {format_float(shoot())}")
+    assert far.read_text().splitlines()[0] == near.read_text().splitlines()[0]
 
 
 def test_series_prints_value(capsys):
@@ -243,8 +255,7 @@ def test_compare_column_selection(quick_model, capsys):
     assert run_cli(["compare", "--model", str(quick_model), "--table", "T1",
                     "--column", "bogus"]) == 1
     captured = capsys.readouterr()
-    # the message itself, not the repr that str() of a KeyError gives; the column
-    # is looked up before the skipped-rows note could be printed
+    # the column is looked up before the skipped-rows note could be printed
     assert captured.err == (
         "error: table T1 has no column 'bogus' (have: howarth, sinc_collocation)\n")
 
@@ -336,11 +347,29 @@ def test_failures_print_one_error_line(argv, quick_model, capsys):
 
 @pytest.mark.parametrize("eta_max", ["nan", "inf", "0", "-1"])
 def test_oracle_bad_eta_max_is_named(eta_max, capsys):
-    # checked before shooting, whose own horizon check would name eta_far instead
+    # checked before anything runs, so the error names the flag
     code = run_cli(["oracle", "--eta-max", eta_max])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: --eta-max must be finite and positive, got {float(eta_max)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--iterations", "5", "--domain-end", "1e308"],
+     "training loss became non-finite at iteration 0"),
+    (["profile", "--model", "FAR_MODEL", "--points", "5"], "f contains non-finite entries"),
+], ids=["solve", "profile"])
+def test_overflow_prints_one_error_line_and_no_warning(argv, message, tmp_path, capsys):
+    # the overflow happens while the jet is built, outside training's own errstate
+    model = tmp_path / "far.txt"
+    save_model(init_params(0, 5), TrialSpec(TrialMode.PENALTY, 1e200), model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would become the error line
+        code = run_cli([str(model) if arg == "FAR_MODEL" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from blasius_net.cli import run_cli
 from blasius_net.model_io import (
     MODEL_HEADER,
+    MODEL_MAX_BYTES,
     ModelFormatError,
     ModelVersionError,
     load_model,
@@ -130,6 +131,37 @@ def test_load_names_hidden_past_the_cap(saved, tmp_path):
                                                f"got {NETWORK_MAX_HIDDEN + 1}") as excinfo:
         load_model(bad)
     assert excinfo.value.line_number == 4  # before the weight lines are parsed
+
+
+def test_largest_model_loads_within_the_cap(tmp_path):
+    # NETWORK_MAX_HIDDEN units whose every entry prints in 24 characters, the longest %.17g
+    weights = np.full((3, NETWORK_MAX_HIDDEN), -1.2345678901234567e-100)
+    spec = TrialSpec(TrialMode.PENALTY, 1.2345678901234567e100)
+    path = tmp_path / "largest.txt"
+    save_model(NetworkParams(*weights), spec, path)
+    assert path.stat().st_size == 30086 < MODEL_MAX_BYTES
+    params, loaded = load_model(path)
+    assert loaded == spec
+    assert params.weights.tobytes() == weights.tobytes()
+
+
+def test_load_reads_no_more_than_the_cap(saved, tmp_path):
+    _, _, path = saved
+    text = path.read_bytes()
+    # blank lines after the model are allowed, up to the cap
+    at_cap = tmp_path / "at_cap.txt"
+    at_cap.write_bytes(text + b"\n" * (MODEL_MAX_BYTES - len(text)))
+    assert load_model(at_cap)[0].weights.tobytes() == load_model(path)[0].weights.tobytes()
+    over = tmp_path / "over.txt"
+    over.write_bytes(b"x" * (MODEL_MAX_BYTES + 1))
+    message = f"line 1: model file longer than MODEL_MAX_BYTES = {MODEL_MAX_BYTES} bytes"
+    with pytest.raises(ModelFormatError) as excinfo:
+        load_model(over)
+    assert str(excinfo.value) == message
+    stderr = io.StringIO()
+    with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+        assert run_cli(["profile", "--model", str(over)]) == 1
+    assert stderr.getvalue() == f"error: {message}\n"
 
 
 def test_load_rejects_truncated_file(saved, tmp_path):

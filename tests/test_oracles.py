@@ -233,8 +233,8 @@ def test_shoot_matches_reference(sigma):
     assert abs(sigma - 0.3320573372067884) <= 1e-9
     assert shoot() == sigma
     assert abs(sigma - 0.332057336215196) <= 1e-12
-    # RK4's h^4 error at a ten times coarser step stays below 1e-11
-    assert abs(shoot(step=1e-2) - sigma) <= 1e-11
+    # RK4's h^4 error at a ten times coarser step stays below 1e-11: shoot's run at step 1e-2
+    assert abs(rk4_profile(1.0, 10.0, 1e-2).fp[-1] ** -1.5 - sigma) <= 1e-11
 
 
 def test_shoot_bracket_is_monotone():
@@ -244,23 +244,13 @@ def test_shoot_bracket_is_monotone():
 
 
 def test_shoot_validation():
-    with pytest.raises(ValueError):
-        shoot(eta_far=5.0)
-    with pytest.raises(ValueError):
-        shoot(tol=0.0)
-    with pytest.raises(ValueError):
-        shoot(step=-1e-3)
-    # NaN fails every comparison, so each gate must reject it by name
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="eta_far must be finite and at least 8"):
-            shoot(eta_far=bad)
+    # NaN fails every comparison, so the gate must reject it by name
+    for bad in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             shoot(tol=bad)
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            shoot(step=bad)
-    # too coarse a step leaves |f''(eta_far)| far above tol: refused, not returned
-    with pytest.raises(IntegrationError, match="far field not settled"):
-        shoot(step=0.5)
+    # a tol below the run's |f''(10)| = 1.9e-18 is refused, not returned
+    with pytest.raises(IntegrationError, match=r"far field not settled: \|f''\(10.0\)\| = 1.906e-18"):
+        shoot(tol=1e-30)
 
 
 def test_rk4_against_scipy_integrator(sigma):

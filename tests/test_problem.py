@@ -47,20 +47,10 @@ def test_grid_construction_and_validation():
     grid = CollocationGrid.equidistant(10, 6.0)
     assert np.allclose(grid.points, np.linspace(0.0, 6.0, 10))
     assert len(grid.points) == 10
-    single = CollocationGrid(np.array([0.0]))
-    assert single.points[0] == 0.0
-    with pytest.raises(ValueError):
-        CollocationGrid.equidistant(1, 6.0)
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([]))
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([-0.5, 1.0]))
-    with pytest.raises(ValueError):
-        CollocationGrid(np.array([0.0, np.inf]))
+    assert CollocationGrid.equidistant(2, 3.0).points.tolist() == [0.0, 3.0]
+    for count in (1, 0, -1):
+        with pytest.raises(ValueError, match="at least two points"):
+            CollocationGrid.equidistant(count, 6.0)
 
 
 def test_grid_points_are_locked():
@@ -72,7 +62,7 @@ def test_grid_points_are_locked():
 def test_loss_paper_silent_network_origin_grid():
     # y = x**3 + x**2: at x = 0, y''' + y y''/2 = 6 + 0 * 2 / 2 = 6; at x = 1,
     # 6 + 2 * 8 / 2 = 14; so the loss is 36 + 196
-    report = loss(PAPER, zero_net(), CollocationGrid(np.array([0.0, 1.0])))
+    report = loss(PAPER, zero_net(), CollocationGrid.equidistant(2, 1.0))
     assert report.total == 232.0
     assert report.penalty_term == 0.0
     assert np.array_equal(report.residuals, [6.0, 14.0])
@@ -80,7 +70,7 @@ def test_loss_paper_silent_network_origin_grid():
 
 def test_loss_penalty_silent_network():
     # y identically zero: residuals vanish, slope misses 1 by exactly 1
-    grid = CollocationGrid(np.array([0.0]))
+    grid = CollocationGrid.equidistant(2, 6.0)
     report = loss(PENALTY, zero_net(), grid, penalty_weight=1.0)
     assert report.total == 1.0
     assert report.penalty_term == 1.0
@@ -150,7 +140,7 @@ def test_loss_gradient_matches_finite_differences():
 
 
 def test_loss_report_is_locked():
-    report = loss(PAPER, zero_net(), CollocationGrid(np.array([0.0, 3.0])))
+    report = loss(PAPER, zero_net(), CollocationGrid.equidistant(2, 3.0))
     with pytest.raises(ValueError):
         report.residuals[0] = 0.0
 
@@ -161,6 +151,6 @@ def test_evaluator_validation():
         LossEvaluator(PENALTY, grid, penalty_weight=-1.0)
     with pytest.raises(ValueError):
         LossEvaluator(PENALTY, grid, penalty_weight=np.inf)
-    wide = CollocationGrid(np.array([0.0, 7.0]))
+    wide = CollocationGrid.equidistant(2, 7.0)
     with pytest.raises(ValueError):
         LossEvaluator(PAPER, wide)

@@ -93,7 +93,7 @@ def test_compare_against_listed_column():
     assert by_first == compare(PAPER, SILENT, table, reference="howarth")
     assert [row.reference for row in by_first] == table.column("howarth").values[:len(rows)].tolist()
     assert [row.ours for row in by_first] == [row.ours for row in rows]
-    with pytest.raises(KeyError, match="no column 'bogus'"):
+    with pytest.raises(ValueError, match="no column 'bogus'"):
         compare(PAPER, SILENT, table, reference="bogus")
 
 

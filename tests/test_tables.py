@@ -84,7 +84,7 @@ def test_column_lookup():
     assert table.column(0).label == "fixed_point"
     assert table.column(-1).label == "block_method"
     assert table.column("block_method").label == "block_method"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="table T2 has no column 'nope'"):
         table.column("nope")
     with pytest.raises(IndexError):
         table.column(5)

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from blasius_net.problem import LossEvaluator
+from blasius_net import training
+from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.training import (
     INIT_SCALE,
+    LOSS_TARGET,
     MOMENTUM_COEFF,
     AllRunsDivergedError,
     TrainingConfig,
@@ -120,16 +122,16 @@ def test_init_params_validation():
         init_params(0, 0)
 
 
-def test_config_defaults_and_grid_fill_in():
+def test_config_defaults():
     cfg = TrainingConfig()
     assert cfg.hidden_count == 5
     assert cfg.trial == TrialSpec(TrialMode.PENALTY, 6.0)
+    assert cfg.points == 10
     assert cfg.lr == 1e-4
     assert cfg.penalty_weight == 10.0
     assert cfg.max_iterations == 50000
-    assert cfg.loss_target == 1e-8
+    assert LOSS_TARGET == 1e-8
     assert INIT_SCALE == 0.5
-    assert np.allclose(cfg.grid.points, np.linspace(0.0, 6.0, 10))
 
 
 def test_config_validation():
@@ -142,11 +144,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        TrainingConfig(loss_target=-1.0)
-    with pytest.raises(ValueError):
         TrainingConfig(seed=-1)
-    with pytest.raises(ValueError, match="at least two points"):
-        TrainingConfig(points=1)
+    # the point count is checked first, when the config is built, before any other fault
+    for points in (1, 0):
+        with pytest.raises(ValueError, match="at least two points"):
+            TrainingConfig(points=points, hidden_count=0, lr=0.0)
 
 
 def test_train_single_iteration_bookkeeping():
@@ -155,7 +157,8 @@ def test_train_single_iteration_bookkeeping():
     assert run.iterations_used == 1
     assert run.initial_loss == pytest.approx(431.43498568954016, rel=1e-12)
     # initial_loss is the loss of the seed's start, final_loss that after the one step
-    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
+    evaluator = LossEvaluator(cfg.trial, CollocationGrid.equidistant(10, 6.0),
+                              cfg.penalty_weight)
     start = init_params(cfg.seed, cfg.hidden_count)
     assert run.initial_loss == evaluator.evaluate(start.weights[None])[0][0]
     assert run.final_loss == evaluator.evaluate(run.final_params.weights[None])[0][0]
@@ -163,7 +166,8 @@ def test_train_single_iteration_bookkeeping():
 
 def test_train_replays_momentum_update():
     cfg = TrainingConfig(max_iterations=3)
-    evaluator = LossEvaluator(cfg.trial, cfg.grid, cfg.penalty_weight)
+    evaluator = LossEvaluator(cfg.trial, CollocationGrid.equidistant(10, 6.0),
+                              cfg.penalty_weight)
     start = init_params(cfg.seed, cfg.hidden_count)
     params = list(start.weights)
     velocity = [np.zeros(cfg.hidden_count) for _ in range(3)]
@@ -182,12 +186,14 @@ def test_seed_sweep_fingerprint_is_bit_exact():
     assert [run.final_loss for run in runs] == SWEEP_FINGERPRINT
 
 
-def test_train_stops_at_loss_target():
-    run = train(TrainingConfig(loss_target=1.0))
+def test_train_stops_at_loss_target(monkeypatch):
+    # the loop reads training.LOSS_TARGET at each call
+    monkeypatch.setattr(training, "LOSS_TARGET", 1.0)
+    run = train(TrainingConfig())
     assert run.final_loss <= 1.0
     assert run.iterations_used < 50000
     # one iteration fewer leaves the loss above the target: the run stopped at the first hit
-    short = train(TrainingConfig(loss_target=1.0, max_iterations=run.iterations_used - 1))
+    short = train(TrainingConfig(max_iterations=run.iterations_used - 1))
     assert short.iterations_used == run.iterations_used - 1
     assert short.final_loss > 1.0
     assert short.initial_loss == run.initial_loss
