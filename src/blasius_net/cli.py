@@ -44,10 +44,16 @@ __all__ = ["build_parser", "run_cli", "main"]
 # the oracle's row cap, RK4_MAX_STEPS; the jet runs one block of rows at a
 # time, and the columns hold ~70 B per point: a ~100 MB peak at the cap
 PROFILE_MAX_POINTS = 10**6
-# ~0.65 KB of jet per collocation point for one seed of 5 hidden units: a
-# ~100 MB peak at the cap, the same jet rows as SWEEP_MAX_RUNS seeds at the
-# documented setup
-SOLVE_MAX_POINTS = 10**5
+# the largest grid at which one loss-and-gradient evaluation was measured to
+# give the same bytes under 1, 2, 4 and 8 BLAS threads, at hidden counts
+# sampled up to NETWORK_MAX_HIDDEN; past it OpenBLAS splits the products
+# over threads and rounds otherwise (1154 points at 400 units already does)
+SOLVE_MAX_POINTS = 1024
+# a lockstep sweep holds ~47 B of jet per seed x row x hidden unit, a jet
+# has points + 1 rows: ~0.4 GB at the bound, 20 seeds at both caps above
+SOLVE_MAX_JET = 2**23
+# XorShift64Star keeps a seed modulo 2**64, so seeds from here on repeat
+SEED_END = 2**64
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=setup.seed)
     solve.add_argument("--iterations", type=int, default=setup.max_iterations)
     solve.add_argument("--lr", type=float, default=setup.lr, help="learning rate")
-    solve.add_argument("--penalty", type=float, default=setup.penalty_weight,
-                       help="far-slope penalty weight (penalty mode only)")
+    solve.add_argument("--penalty", type=float, default=None,
+                       help=f"far-slope penalty weight, default {setup.penalty_weight:g} "
+                            "(penalty mode only)")
     solve.add_argument("--runs", type=int, default=1,
                        help="train this many consecutive seeds, keep the best")
     solve.add_argument("--out", help="write the best model here")
@@ -77,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="classical RK4 shooting solution")
     oracle.add_argument("--eta-max", type=float, default=10.0)
     oracle.add_argument("--step", type=float, default=1e-3)
-    oracle.add_argument("--tol", type=float, default=1e-10,
-                        help="largest |f''| accepted at the shooting run's far horizon")
     oracle.add_argument("--out", help="write the profile CSV here instead of stdout")
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -120,13 +125,23 @@ def _cmd_solve(args) -> int:
     _check_range("--hidden", args.hidden, 1, "NETWORK_MAX_HIDDEN", NETWORK_MAX_HIDDEN)
     _check_range("--points", args.points, 2, "SOLVE_MAX_POINTS", SOLVE_MAX_POINTS)
     _check_range("--runs", args.runs, 1, "SWEEP_MAX_RUNS", SWEEP_MAX_RUNS)
+    jet = args.runs * (args.points + 1) * args.hidden
+    if jet > SOLVE_MAX_JET:
+        raise ValueError(f"--runs * (--points + 1) * --hidden must be at most "
+                         f"SOLVE_MAX_JET = {SOLVE_MAX_JET}, got {jet}")
+    if args.seed + args.runs > SEED_END:
+        raise ValueError(f"--seed + --runs must be at most SEED_END = 2**64, "
+                         f"got {args.seed + args.runs}")
+    if args.penalty is not None and args.mode == TrialMode.PAPER.value:
+        raise ValueError("--penalty has no effect in paper mode, which pins its far end")
+    penalty = TrainingConfig().penalty_weight if args.penalty is None else args.penalty
     spec = TrialSpec(TrialMode(args.mode), args.domain_end)
     cfg = TrainingConfig(
         hidden_count=args.hidden,
         trial=spec,
         points=args.points,
         lr=args.lr,
-        penalty_weight=args.penalty,
+        penalty_weight=penalty,
         max_iterations=args.iterations,
         seed=args.seed,
     )
@@ -155,7 +170,7 @@ def _cmd_oracle(args) -> int:
     if not (math.isfinite(args.eta_max) and args.eta_max > 0.0):  # NaN fails both
         raise ValueError(f"--eta-max must be finite and positive, got {args.eta_max}")
     # sigma comes from its own run; --eta-max and --step set the output grid only
-    sigma = shoot(tol=args.tol)
+    sigma = shoot()
     profile = rk4_profile(sigma, args.eta_max, args.step)
     write_profile_csv(profile, args.out or sys.stdout, comments={"sigma": format_float(sigma)})
     if args.out:

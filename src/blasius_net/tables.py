@@ -30,6 +30,7 @@ __all__ = [
     "fixtures_dir",
     "QUANTITY",
     "TABLE_IDS",
+    "TABLE_MAX_BYTES",
     "load_table",
 ]
 
@@ -39,6 +40,8 @@ FIXTURES_ENV_VAR = "BLASIUS_NET_FIXTURES"
 QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",
             "T5": "f", "T6": "f", "T7": "fp", "T8": "fpp"}
 TABLE_IDS = tuple(QUANTITY)
+# the largest bundled fixture takes ~1.9 KB; load_table reads no more than this
+TABLE_MAX_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def load_table(table_id: str | int) -> ReferenceTable:
     quantity (QUANTITY of that id), references (the column labels) and rows,
     each row [eta, own, [refs], [errors]] with one reference value and one
     printed error (a string, or null) per label, etas strictly increasing.
-    A fixture that breaks this raises TableFormatError.
+    A fixture that breaks this, or is longer than TABLE_MAX_BYTES, raises
+    TableFormatError.
     """
     tid = _normalize_table_id(table_id)
     if tid not in TABLE_IDS:
@@ -154,10 +158,14 @@ def load_table(table_id: str | int) -> ReferenceTable:
     path = fixtures_dir() / f"table{tid[1:]}.json"
     if not path.exists():
         raise FileNotFoundError(f"fixture file {path} not found")
+    with open(path, "rb") as stream:
+        raw = stream.read(TABLE_MAX_BYTES + 1)
+    if len(raw) > TABLE_MAX_BYTES:
+        raise TableFormatError(f"{path}: longer than TABLE_MAX_BYTES = {TABLE_MAX_BYTES} bytes")
     try:
         # ValueError covers bytes that are not UTF-8 too; an integer parsed as a float
         # reads inf where float() of it would overflow, and meets no digit limit
-        data = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
+        data = json.loads(raw.decode("utf-8"), parse_int=float)
     except ValueError as exc:
         raise TableFormatError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -122,7 +122,8 @@ def test_solve_defaults_are_the_training_config():
     assert args.seed == cfg.seed
     assert args.iterations == cfg.max_iterations
     assert args.lr == cfg.lr
-    assert args.penalty == cfg.penalty_weight
+    # unset, so paper mode can refuse it; _cmd_solve then uses cfg.penalty_weight
+    assert args.penalty is None
 
 
 @pytest.mark.parametrize("command", [
@@ -148,6 +149,40 @@ def test_bytes_ignore_thread_count_and_hash_seed(command, tmp_path):
         done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert done.stderr == ""  # nothing, not even a warning at shutdown, follows stdout
         seen.add((done.stdout, out.read_bytes() if "OUT" in command else None))
+    assert len(seen) == 1
+
+
+EVALUATOR_DIGESTS = """
+import hashlib
+import numpy as np
+from blasius_net.cli import SOLVE_MAX_POINTS
+from blasius_net.network import NETWORK_MAX_HIDDEN
+from blasius_net.problem import CollocationGrid, LossEvaluator
+from blasius_net.training import init_params
+from blasius_net.trial import TrialMode, TrialSpec
+
+theta = np.array([init_params(seed, NETWORK_MAX_HIDDEN).weights for seed in (0, 1)])
+for mode in TrialMode:
+    for points in range(SOLVE_MAX_POINTS - 3, SOLVE_MAX_POINTS + 1):
+        evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(points, 6.0))
+        totals, grad = evaluator.evaluate(theta)
+        digest = hashlib.sha256(np.array(totals).tobytes() + grad.tobytes()).hexdigest()
+        print(mode.value, points, digest)
+"""
+
+
+def test_evaluator_bytes_ignore_thread_count_at_the_solve_caps():
+    # solve's largest jets: model files at a stable lr move too little to show a split
+    # product, so the evaluator's own totals and gradient are compared
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", EVALUATOR_DIGESTS], env=env,
+                              capture_output=True, text=True, check=True)
+        assert len(done.stdout.splitlines()) == 8
+        seen.add(done.stdout)
     assert len(seen) == 1
 
 
@@ -183,10 +218,6 @@ def test_oracle_stdout(capsys):
     default = capsys.readouterr()
     assert captured.out.splitlines()[0] == default.out.splitlines()[0]
     assert captured.out.splitlines()[0] == f"# sigma = {format_float(shoot())}"
-    # a far field that cannot settle to --tol fails with the oracle's message
-    assert run_cli(["oracle", "--tol", "1e-30"]) == 1
-    assert capsys.readouterr().err == ("error: far field not settled: |f''(10.0)| = 1.906e-18 "
-                                       "exceeds tol = 1e-30\n")
 
 
 def test_oracle_sigma_ignores_the_profile_horizon(tmp_path, capsys):
@@ -328,7 +359,7 @@ def test_missing_model_file(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--runs", "2", "--iterations", "1500", "--lr", "5e-3"],
     ["profile", "--model", "MODEL", "--points", "1"],
-    ["oracle", "--tol", "1e-30"],
+    ["oracle", "--step", "10", "--eta-max", "100"],  # the RK4 state overflows
     ["oracle", "--eta-max", "nan"],
     ["oracle", "--step", "1e-9", "--eta-max", "0.5"],  # 5e8 steps, over the cap
     ["compare", "--model", "MODEL", "--table", "1", "--column", "bogus"],
@@ -379,6 +410,9 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert run_cli(["series"]) == 2  # --eta is required
     capsys.readouterr()
+    # sigma's run is fixed, so no flag sets a tolerance for it
+    assert run_cli(["oracle", "--tol", "1e-30"]) == 2
+    assert "unrecognized arguments: --tol 1e-30" in capsys.readouterr().err
     for flag in ("--lr-v", "--lr-u", "--lr-w"):
         assert run_cli(["solve", flag, "1e-4"]) == 2
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Unit tests for the classical oracles: power series, RK4 marching, shooting."""
 
 import hashlib
+import inspect
 import math
 import warnings
 from fractions import Fraction
@@ -243,14 +244,10 @@ def test_shoot_bracket_is_monotone():
     assert low.fp[-1] < 1.0 < high.fp[-1]
 
 
-def test_shoot_validation():
-    # NaN fails every comparison, so the gate must reject it by name
-    for bad in (0.0, -1e-10, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            shoot(tol=bad)
-    # a tol below the run's |f''(10)| = 1.9e-18 is refused, not returned
-    with pytest.raises(IntegrationError, match=r"far field not settled: \|f''\(10.0\)\| = 1.906e-18"):
-        shoot(tol=1e-30)
+def test_shoot_far_field_has_settled():
+    # shoot's fixed run: its far curvature is far below anything a longer run could move
+    assert not inspect.signature(shoot).parameters
+    assert abs(rk4_profile(1.0, 10.0, 1e-3).fpp[-1]) <= 1e-17
 
 
 def test_rk4_against_scipy_integrator(sigma):

@@ -157,3 +157,28 @@ def test_solve_names_hidden_and_points_past_their_caps(flag, low, cap_name, cap,
     assert captured.out == ""
     assert captured.err == (f"error: {flag} must be between {low} and {cap_name} = {cap}, "
                             f"got {cap + 1}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 41 * 1024 * 200 = 8 396 800, just over 2**23 = 8 388 608
+    (["--runs", "41", "--points", "1023", "--hidden", "200"],
+     f"--runs * (--points + 1) * --hidden must be at most SOLVE_MAX_JET = {cli.SOLVE_MAX_JET}, "
+     "got 8396800"),
+    (["--runs", "40", "--points", "1023", "--hidden", "200"], "a weight was drawn"),
+    # the last seed would be 2**64, which XorShift64Star reads as seed 0
+    (["--seed", str(2**64 - 1), "--runs", "2"],
+     f"--seed + --runs must be at most SEED_END = 2**64, got {2**64 + 1}"),
+    (["--seed", str(2**64 - 2), "--runs", "2"], "a weight was drawn"),
+    # paper mode pins its far end, so a penalty weight would change nothing
+    (["--mode", "paper", "--penalty", "1"],
+     "--penalty has no effect in paper mode, which pins its far end"),
+    (["--mode", "paper"], "a weight was drawn"),
+    (["--penalty", "1"], "a weight was drawn"),
+], ids=["jet", "jet-inside", "seed", "seed-at-bound", "paper-penalty", "paper", "penalty"])
+def test_solve_refuses_flags_that_cannot_run_as_given(argv, message, monkeypatch, capsys):
+    # an admitted set of flags gets as far as the first draw
+    refuse_draws(monkeypatch)
+    assert cli.run_cli(["solve", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -21,6 +21,7 @@ from blasius_net.report import compare, relative_error
 from blasius_net.tables import (
     FIXTURES_ENV_VAR,
     TABLE_IDS,
+    TABLE_MAX_BYTES,
     TableFormatError,
     fixtures_dir,
     load_table,
@@ -240,6 +241,29 @@ def test_malformed_fixture_is_named(mangle, detail, tmp_path, monkeypatch):
 
 
 MODEL = Path(__file__).resolve().parents[1] / "perfbench" / "validate_model.txt"
+
+
+def test_fixture_past_the_byte_cap_is_refused_unread(tmp_path, monkeypatch, capsys):
+    copy = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), copy)
+    path = copy / "table1.json"
+    text = path.read_text()
+    monkeypatch.setenv(FIXTURES_ENV_VAR, str(copy))
+    # valid JSON padded with whitespace: at the cap it loads
+    path.write_text(text + " " * (TABLE_MAX_BYTES - len(text)))
+    assert load_table("T1").table_id == "T1"
+    path.write_text(text + " " * (TABLE_MAX_BYTES + 1 - len(text)))
+    message = f"{path}: longer than TABLE_MAX_BYTES = {TABLE_MAX_BYTES} bytes"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fixture was decoded")
+    monkeypatch.setattr(json, "loads", refuse)
+    with pytest.raises(TableFormatError, match=f"^{re.escape(message)}$"):
+        load_table("T1")
+    assert run_cli(["compare", "--model", str(MODEL), "--table", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 TABLE1 = (fixtures_dir() / "table1.json").read_text()
 
 
