@@ -25,7 +25,7 @@ from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
 from .network import NETWORK_MAX_HIDDEN
 from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
-from .profiles import format_float, open_output, write_profile_csv
+from .profiles import CSV_BLOCK, format_float, open_output, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
 from .tables import load_table
@@ -41,8 +41,9 @@ from .trial import TrialMode, TrialSpec
 
 __all__ = ["build_parser", "run_cli", "main"]
 
-# the oracle's row cap, RK4_MAX_STEPS; the jet runs one block of rows at a
-# time, and the columns hold ~70 B per point: a ~100 MB peak at the cap
+# the oracle's row cap, RK4_MAX_STEPS; profile evaluates and writes one
+# block of rows at a time, and only the grid is held whole (8 B per point):
+# a ~38 MB peak at the cap
 PROFILE_MAX_POINTS = 10**6
 # the largest grid at which one loss-and-gradient evaluation was measured to
 # give the same bytes under 1, 2, 4 and 8 BLAS threads, at hidden counts
@@ -221,8 +222,10 @@ def _cmd_profile(args) -> int:
     params, spec = load_model(args.model)
     _check_range("--points", args.points, 2, "PROFILE_MAX_POINTS", PROFILE_MAX_POINTS)
     etas = np.linspace(0.0, spec.domain_end, args.points)
-    profile = evaluate_profile(spec, params, etas)
-    write_profile_csv(profile, args.out or sys.stdout)
+    # one block of rows evaluated per write, so the full columns are never held
+    blocks = (evaluate_profile(spec, params, etas[start:start + CSV_BLOCK])
+              for start in range(0, etas.size, CSV_BLOCK))
+    write_profile_csv(blocks, args.out or sys.stdout)
     if args.out:
         print(f"profile written: {args.out}")
     return 0

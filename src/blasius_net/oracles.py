@@ -179,12 +179,14 @@ def _far_slope(sigma0: float, eta_far: float, step: float) -> float:
     return float(rk4_profile(sigma0, eta_far, step).fp[-1])
 
 
+@functools.cache  # sigma is a constant: the first call's run serves the whole process
 def shoot() -> float:
     """Wall curvature sigma = f''(0) from one unit-curvature RK4 run to eta = 10, step 1e-3.
 
     With lambda = f'(10) of the run started at f''(0) = 1, the solution with
     far slope one is a f(a eta) for a = lambda^(-1/2), whose curvature is
     a^3 = lambda^(-3/2).  The run's far field has settled: |f''(10)| =
-    1.9e-18, so a longer run gives the same sigma to the bit.
+    1.9e-18, so a longer run gives the same sigma to the bit.  The run is
+    made once per process; shoot.cache_clear() makes the next call run it.
     """
     return _far_slope(1.0, 10.0, 1e-3) ** -1.5

@@ -10,10 +10,11 @@ one writer behind every file the package writes, CSV or model.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -98,15 +99,22 @@ def open_output(destination) -> Iterator[TextIO]:
         raise
 
 
-def write_profile_csv(profile: SolutionProfile, destination, comments: dict | None = None) -> None:
-    """Write the profile as CSV through open_output, CSV_BLOCK rows per write.
+def write_profile_csv(profile: SolutionProfile | Iterable[SolutionProfile], destination,
+                      comments: dict | None = None) -> None:
+    """Write a profile, or consecutive blocks of one (at least one), as CSV through open_output.
 
-    Optional comments become ``# key = value`` lines above the header.
+    Blocks are written in order, CSV_BLOCK rows per write, so a stream of
+    blocks made one at a time is never held whole.  Nothing is written
+    before the first block is at hand.  Optional comments become
+    ``# key = value`` lines above the header.
     """
-    columns = (profile.eta, profile.f, profile.fp, profile.fpp)
+    blocks = iter((profile,) if isinstance(profile, SolutionProfile) else profile)
+    first = next(blocks)
     with open_output(destination) as out:
         out.write("".join(f"# {key} = {value}\n" for key, value in (comments or {}).items())
                   + CSV_HEADER + "\n")
-        for start in range(0, len(profile), CSV_BLOCK):
-            block = [column[start:start + CSV_BLOCK].tolist() for column in columns]
-            out.write("".join(map(CSV_ROW.__mod__, zip(*block))))
+        for block in itertools.chain((first,), blocks):
+            columns = (block.eta, block.f, block.fp, block.fpp)
+            for start in range(0, len(block), CSV_BLOCK):
+                rows = [column[start:start + CSV_BLOCK].tolist() for column in columns]
+                out.write("".join(map(CSV_ROW.__mod__, zip(*rows))))

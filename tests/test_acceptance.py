@@ -31,6 +31,7 @@ def verdict(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def timed_shoot():
+    shoot.cache_clear()  # time one real integration, not the process-wide cached sigma
     start = time.perf_counter()
     sigma = shoot()
     return sigma, time.perf_counter() - start

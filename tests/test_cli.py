@@ -5,17 +5,19 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blasius_net import problem
+from blasius_net import cli, problem
 from blasius_net.cli import build_parser, run_cli
 from blasius_net.model_io import load_model, save_model
 from blasius_net.oracles import rk4_profile, series_eval, shoot
-from blasius_net.profiles import format_float
+from blasius_net.profiles import CSV_BLOCK, format_float, write_profile_csv
+from blasius_net.report import evaluate_profile
 from blasius_net.tables import load_table
 from blasius_net.training import TrainingConfig, init_params
 from blasius_net.trial import TrialMode, TrialSpec
@@ -326,6 +328,61 @@ def test_profile_evaluates_model(quick_model, tmp_path, capsys):
     assert profile.eta[0] == 0.0
     assert profile.eta[-1] == 6.0
     assert profile.f[0] == 0.0  # trial form pins the wall value
+
+
+def test_profile_evaluates_and_writes_one_block_at_a_time(quick_model, tmp_path, monkeypatch,
+                                                         capsys):
+    count = 2 * CSV_BLOCK + 7
+    params, spec = load_model(quick_model)
+    whole = io.StringIO()
+    write_profile_csv(evaluate_profile(spec, params, np.linspace(0.0, 6.0, count)), whole)
+    sizes = []
+
+    def recording(spec, params, etas):
+        sizes.append(len(etas))
+        return evaluate_profile(spec, params, etas)
+
+    monkeypatch.setattr(cli, "evaluate_profile", recording)
+    out = tmp_path / "profile.csv"
+    code = run_cli(["profile", "--model", str(quick_model), "--points", str(count),
+                    "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert sizes == [CSV_BLOCK, CSV_BLOCK, 7]
+    assert out.read_text() == whole.getvalue()
+
+
+def test_profile_never_holds_its_full_columns(quick_model, tmp_path, capsys):
+    count = 80_000
+    out = tmp_path / "profile.csv"
+    argv = ["profile", "--model", str(quick_model), "--points", str(count), "--out", str(out)]
+    assert run_cli(argv) == 0  # imports and first-call set-up happen outside the trace
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the grid takes 8 B a point; the four whole columns alone would take 32
+    assert peak < 32 * count
+
+
+def test_profile_failing_in_a_later_block_leaves_no_file(tmp_path, capsys):
+    # x**2 overflows past ~1.3e154: the first block of rows is finite, the second is not
+    model = tmp_path / "far.txt"
+    save_model(init_params(0, 5), TrialSpec(TrialMode.PENALTY, 2e154), model)
+    argv = ["profile", "--model", str(model), "--points", str(2 * CSV_BLOCK)]
+    out = tmp_path / "profile.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: f contains non-finite entries\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["far.txt"]
+    # a stream cannot be taken back: the rows before the failing block stay written
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: f contains non-finite entries\n"
+    assert captured.out.startswith("eta,f,fp,fpp\n")
 
 
 def test_profile_rejects_single_point(quick_model, capsys):

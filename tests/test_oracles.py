@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blasius_net import oracles
 from blasius_net.oracles import (
     RK4_MAX_STEPS,
     SERIES_MAX_K,
@@ -248,6 +249,24 @@ def test_shoot_far_field_has_settled():
     # shoot's fixed run: its far curvature is far below anything a longer run could move
     assert not inspect.signature(shoot).parameters
     assert abs(rk4_profile(1.0, 10.0, 1e-3).fpp[-1]) <= 1e-17
+
+
+def test_shoot_integrates_once_per_process(monkeypatch):
+    # sigma is a constant: only the first call after cache_clear runs its RK4 integration
+    runs = []
+    original = oracles.rk4_profile
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "rk4_profile", counting)
+    shoot.cache_clear()
+    first = shoot()
+    assert runs == [(1.0, 10.0, 1e-3)]
+    second = shoot()
+    assert runs == [(1.0, 10.0, 1e-3)]
+    assert second.hex() == first.hex() == (0.3320573362152005).hex()
 
 
 def test_rk4_against_scipy_integrator(sigma):

@@ -126,6 +126,23 @@ def test_csv_is_written_in_blocks():
     assert "".join(stream.writes[1:]) == "".join(expected)
 
 
+def test_blocks_write_the_bytes_of_the_whole_profile():
+    count = 3 * CSV_BLOCK + 5
+    rng = np.random.default_rng(29)
+    columns = [np.cumsum(rng.uniform(0.5, 1.5, count))] + [rng.normal(size=count)
+                                                          for _ in range(3)]
+    whole = io.StringIO()
+    write_profile_csv(SolutionProfile(*columns), whole, comments={"sigma": "0.332"})
+    # blocks of uneven sizes, one of them longer than CSV_BLOCK
+    cuts = [0, 1, CSV_BLOCK + 3, 2 * CSV_BLOCK, count]
+    blocks = (SolutionProfile(*(column[start:stop] for column in columns))
+              for start, stop in zip(cuts, cuts[1:]))
+    stream = WriteRecorder()
+    write_profile_csv(blocks, stream, comments={"sigma": "0.332"})
+    assert stream.getvalue() == whole.getvalue()
+    assert max(text.count("\n") for text in stream.writes[1:]) <= CSV_BLOCK
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(columns=st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.lists(DOUBLES, min_size=n, max_size=n, unique=True).map(sorted),
