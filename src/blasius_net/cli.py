@@ -173,7 +173,7 @@ def _cmd_oracle(args) -> int:
     # sigma comes from its own run; --eta-max and --step set the output grid only
     sigma = shoot()
     profile = rk4_profile(sigma, args.eta_max, args.step)
-    write_profile_csv(profile, args.out or sys.stdout, comments={"sigma": format_float(sigma)})
+    write_profile_csv((profile,), args.out or sys.stdout, comments={"sigma": format_float(sigma)})
     if args.out:
         print(f"sigma = {format_float(sigma)}")
         print(f"profile written: {args.out}")

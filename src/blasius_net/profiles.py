@@ -99,16 +99,16 @@ def open_output(destination) -> Iterator[TextIO]:
         raise
 
 
-def write_profile_csv(profile: SolutionProfile | Iterable[SolutionProfile], destination,
+def write_profile_csv(blocks: Iterable[SolutionProfile], destination,
                       comments: dict | None = None) -> None:
-    """Write a profile, or consecutive blocks of one (at least one), as CSV through open_output.
+    """Write consecutive blocks of a profile (at least one) as CSV through open_output.
 
     Blocks are written in order, CSV_BLOCK rows per write, so a stream of
-    blocks made one at a time is never held whole.  Nothing is written
-    before the first block is at hand.  Optional comments become
-    ``# key = value`` lines above the header.
+    blocks made one at a time is never held whole; pass ``(profile,)`` for
+    a whole profile.  Nothing is written before the first block is at hand.
+    Optional comments become ``# key = value`` lines above the header.
     """
-    blocks = iter((profile,) if isinstance(profile, SolutionProfile) else profile)
+    blocks = iter(blocks)
     first = next(blocks)
     with open_output(destination) as out:
         out.write("".join(f"# {key} = {value}\n" for key, value in (comments or {}).items())

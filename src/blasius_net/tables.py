@@ -5,16 +5,14 @@ against one or two reference columns from independent studies, along with the
 relative errors exactly as printed there.  Printed errors keep their original
 string form so "one unit in the last printed digit" stays well defined.
 
-Fixtures are JSON files shipped with the package, parsed once per process;
-the BLASIUS_NET_FIXTURES environment variable points the loader at a
-different directory, whose files are outside input: load_table reads them on
-every call, checks their layout and raises TableFormatError, naming the file
-and the row, for any fixture that breaks it.
+Fixtures are JSON files shipped with the package; the BLASIUS_NET_FIXTURES
+environment variable points the loader at a different directory, whose files
+are outside input: load_table checks their layout and raises
+TableFormatError, naming the file and the row, for any fixture that breaks it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -37,7 +35,6 @@ __all__ = [
 ]
 
 FIXTURES_ENV_VAR = "BLASIUS_NET_FIXTURES"
-BUNDLED_FIXTURES = Path(__file__).parent / "fixtures"
 
 # the profile column each table tabulates
 QUANTITY = {"T1": "f", "T2": "f", "T3": "fp", "T4": "fpp",
@@ -109,7 +106,9 @@ class ReferenceTable:
 
 def fixtures_dir() -> Path:
     override = os.environ.get(FIXTURES_ENV_VAR)
-    return Path(override) if override else BUNDLED_FIXTURES
+    if override:
+        return Path(override)
+    return Path(__file__).parent / "fixtures"
 
 
 def _normalize_table_id(table_id: str | int) -> str:
@@ -140,9 +139,7 @@ def _printed(text, where: str) -> PrintedError | None:
 def _frozen(values) -> np.ndarray:
     array = np.array(values, dtype=np.float64)
     array.flags.writeable = False
-    # a view of a read-only array cannot be made writeable again, and
-    # load_table hands the same bundled arrays to every caller
-    return array[:]
+    return array
 
 
 def load_table(table_id: str | int) -> ReferenceTable:
@@ -153,26 +150,12 @@ def load_table(table_id: str | int) -> ReferenceTable:
     each row [eta, own, [refs], [errors]] with one reference value and one
     printed error (a string, or null) per label, etas strictly increasing.
     A fixture that breaks this, or is longer than TABLE_MAX_BYTES, raises
-    TableFormatError.  A bundled table is parsed once per process and every
-    call gets the same immutable table; a fixture in the BLASIUS_NET_FIXTURES
-    directory is read and checked on every call.
+    TableFormatError.
     """
     tid = _normalize_table_id(table_id)
     if tid not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-    directory = fixtures_dir()
-    if directory is BUNDLED_FIXTURES:
-        return _bundled_table(tid)
-    return _read_table(directory, tid)
-
-
-@functools.cache  # TABLE_IDS bounds the keys; a call that raises is not cached
-def _bundled_table(tid: str) -> ReferenceTable:
-    return _read_table(BUNDLED_FIXTURES, tid)
-
-
-def _read_table(directory: Path, tid: str) -> ReferenceTable:
-    path = directory / f"table{tid[1:]}.json"
+    path = fixtures_dir() / f"table{tid[1:]}.json"
     if not path.exists():
         raise FileNotFoundError(f"fixture file {path} not found")
     with open(path, "rb") as stream:

@@ -99,28 +99,16 @@ class XorShift64Star:
         self._state = s
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
-    def uniforms(self, low: float, high: float, count: int) -> list[float]:
-        """count draws in [low, high): next_u64's steps, each word's top 53 bits as the unit.
-
-        One local loop, so a block costs no method call per draw.
-        """
-        s, width, draws = self._state, high - low, []
-        for _ in range(count):
-            s ^= (s >> 12)
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= (s >> 27)
-            # 53-bit mantissa draw in [0, 1)
-            draws.append(low + width * ((((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * 2.0**-53))
-        self._state = s
-        return draws
-
     def uniform(self, low: float, high: float) -> float:
-        return self.uniforms(low, high, 1)[0]
+        # 53-bit mantissa draw in [0, 1)
+        unit = (self.next_u64() >> 11) * 2.0**-53
+        return low + (high - low) * unit
 
 
 def _draw_params(rng: XorShift64Star, hidden_count: int, scale: float) -> np.ndarray:
     """(3, hidden_count) uniforms in [-scale, scale) from rng, drawn row v, then u, then w."""
-    return np.array(rng.uniforms(-scale, scale, 3 * hidden_count)).reshape(3, hidden_count)
+    draws = [rng.uniform(-scale, scale) for _ in range(3 * hidden_count)]
+    return np.array(draws).reshape(3, hidden_count)
 
 
 def init_params(seed: int, hidden_count: int) -> NetworkParams:

@@ -335,7 +335,7 @@ def test_profile_evaluates_and_writes_one_block_at_a_time(quick_model, tmp_path,
     count = 2 * CSV_BLOCK + 7
     params, spec = load_model(quick_model)
     whole = io.StringIO()
-    write_profile_csv(evaluate_profile(spec, params, np.linspace(0.0, 6.0, count)), whole)
+    write_profile_csv((evaluate_profile(spec, params, np.linspace(0.0, 6.0, count)),), whole)
     sizes = []
 
     def recording(spec, params, etas):

@@ -74,7 +74,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     profile = SolutionProfile(eta=eta, f=rng.normal(size=20), fp=rng.normal(size=20),
                               fpp=rng.normal(size=20))
     path = tmp_path / "profile.csv"
-    write_profile_csv(profile, path, comments={"sigma": "0.332"})
+    write_profile_csv((profile,), path, comments={"sigma": "0.332"})
     back = read_profile_csv(path)
     assert np.array_equal(back.eta, profile.eta)
     assert np.array_equal(back.f, profile.f)
@@ -92,7 +92,7 @@ def test_csv_rows_match_per_value_format_float():
     profile = SolutionProfile(eta=special, f=special[::-1], fp=special[1:] + special[:1],
                               fpp=special[2:] + special[:2])
     buffer = io.StringIO()
-    write_profile_csv(profile, buffer)
+    write_profile_csv((profile,), buffer)
     expected = [CSV_HEADER] + [",".join(format_float(x) for x in row) for row in
                                zip(special, special[::-1], special[1:] + special[:1],
                                    special[2:] + special[:2])]
@@ -119,7 +119,7 @@ def test_csv_is_written_in_blocks():
     eta = np.cumsum(rng.uniform(0.5, 1.5, count))
     columns = [eta] + [rng.normal(size=count) for _ in range(3)]
     stream = WriteRecorder()
-    write_profile_csv(SolutionProfile(*columns), stream, comments={"sigma": "0.332"})
+    write_profile_csv((SolutionProfile(*columns),), stream, comments={"sigma": "0.332"})
     assert max(text.count("\n") for text in stream.writes[1:]) <= CSV_BLOCK
     assert stream.writes[0] == "# sigma = 0.332\n" + CSV_HEADER + "\n"
     expected = [",".join(format_float(x) for x in row) + "\n" for row in zip(*columns)]
@@ -132,7 +132,7 @@ def test_blocks_write_the_bytes_of_the_whole_profile():
     columns = [np.cumsum(rng.uniform(0.5, 1.5, count))] + [rng.normal(size=count)
                                                           for _ in range(3)]
     whole = io.StringIO()
-    write_profile_csv(SolutionProfile(*columns), whole, comments={"sigma": "0.332"})
+    write_profile_csv((SolutionProfile(*columns),), whole, comments={"sigma": "0.332"})
     # blocks of uneven sizes, one of them longer than CSV_BLOCK
     cuts = [0, 1, CSV_BLOCK + 3, 2 * CSV_BLOCK, count]
     blocks = (SolutionProfile(*(column[start:stop] for column in columns))
@@ -150,7 +150,7 @@ def test_blocks_write_the_bytes_of_the_whole_profile():
 def test_csv_keeps_every_column_bytes(columns):
     profile = SolutionProfile(*columns)
     buffer = io.StringIO()
-    write_profile_csv(profile, buffer)
+    write_profile_csv((profile,), buffer)
     back = read_profile_csv(io.StringIO(buffer.getvalue()))
     for name in ("eta", "f", "fp", "fpp"):
         assert getattr(back, name).tobytes() == getattr(profile, name).tobytes()
@@ -159,7 +159,7 @@ def test_csv_keeps_every_column_bytes(columns):
 def test_csv_stream_round_trip():
     profile = small_profile()
     buffer = io.StringIO()
-    write_profile_csv(profile, buffer)
+    write_profile_csv((profile,), buffer)
     back = read_profile_csv(io.StringIO(buffer.getvalue()))
     assert np.array_equal(back.eta, profile.eta)
 

@@ -151,42 +151,6 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
         load_table("T1")
 
 
-def test_bundled_table_is_parsed_once_and_immutable(monkeypatch):
-    table = load_table("T3")
-    assert load_table(3) is table
-    assert load_table("3") is table
-    for array in [table.etas, table.own_values] + [col.values for col in table.references]:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array.flags.writeable = True
-    # once loaded, a table is served without reading its fixture again
-    tables = {table_id: load_table(table_id) for table_id in TABLE_IDS}
-    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("fixture re-read"))
-    assert all(load_table(table_id) is tables[table_id] for table_id in TABLE_IDS)
-
-
-def test_override_fixture_is_read_on_every_call(tmp_path, monkeypatch):
-    bundled = load_table("T1")
-    copy = tmp_path / "fixtures"
-    shutil.copytree(fixtures_dir(), copy)
-    path = copy / "table1.json"
-    monkeypatch.setenv(FIXTURES_ENV_VAR, str(copy))
-    first = load_table("T1")
-    assert first is not bundled
-    assert first.own_values.tobytes() == bundled.own_values.tobytes()
-    data = json.loads(path.read_text())
-    data["rows"][0][1] = 0.125
-    path.write_text(json.dumps(data))
-    assert load_table("T1").own_values[0] == 0.125
-    path.write_text(path.read_text()[:-20])
-    with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: not JSON"):
-        load_table("T1")
-    # the override never reaches the bundled table
-    monkeypatch.delenv(FIXTURES_ENV_VAR)
-    assert load_table("T1") is bundled
-    assert bundled.own_values[0] != 0.125
-
-
 def _drop_quantity(data):
     del data["quantity"]
 

@@ -96,27 +96,6 @@ def test_xorshift_uniform_range_and_scaling():
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
 
-# the one seed whose splitmix64 round is 0, so its stream starts from the fallback state
-ZERO_STATE_SEED = -0x9E3779B97F4A7C15 & MASK64
-
-
-@pytest.mark.parametrize("seed", [0, 7, 11, 123456789, MASK64, ZERO_STATE_SEED])
-def test_xorshift_block_draws_equal_single_draws(seed):
-    assert (training._splitmix64(seed) == 0) == (seed == ZERO_STATE_SEED)
-    count = 40
-    for low, high in ((0.0, 1.0), (-1.0, 1.0), (0.05, 5.95), (-INIT_SCALE, INIT_SCALE)):
-        # each word's top 53 bits as the unit, one word per draw
-        words = [low + (high - low) * ((word >> 11) * 2.0**-53)
-                 for word in reference_stream(seed, 2 * count)]
-        block = XorShift64Star(seed)
-        single = XorShift64Star(seed)
-        drawn = block.uniforms(low, high, count) + block.uniforms(low, high, count)
-        assert [x.hex() for x in drawn] == [x.hex() for x in words]
-        assert [single.uniform(low, high).hex() for _ in range(2 * count)] == [
-            x.hex() for x in words]
-        assert block.next_u64() == single.next_u64()
-
-
 def test_init_params_deterministic_and_in_range():
     first = init_params(0, 5)
     second = init_params(0, 5)
