@@ -24,7 +24,7 @@ import numpy as np
 from .gradcheck import run_gradient_checks
 from .model_io import load_model, save_model
 from .network import NETWORK_MAX_HIDDEN
-from .oracles import rk4_profile, series_eval, series_tail_estimate, shoot
+from .oracles import rk4_blocks, series_eval, series_tail_estimate, shoot
 from .profiles import CSV_BLOCK, format_float, open_output, write_profile_csv
 from .report import compare as compare_rows
 from .report import evaluate_profile
@@ -171,9 +171,10 @@ def _cmd_oracle(args) -> int:
     if not (math.isfinite(args.eta_max) and args.eta_max > 0.0):  # NaN fails both
         raise ValueError(f"--eta-max must be finite and positive, got {args.eta_max}")
     # sigma comes from its own run; --eta-max and --step set the output grid only
+    # the rows go out one block at a time, so the grid is never held whole
     sigma = shoot()
-    profile = rk4_profile(sigma, args.eta_max, args.step)
-    write_profile_csv((profile,), args.out or sys.stdout, comments={"sigma": format_float(sigma)})
+    write_profile_csv(rk4_blocks(sigma, args.eta_max, args.step), args.out or sys.stdout,
+                      comments={"sigma": format_float(sigma)})
     if args.out:
         print(f"sigma = {format_float(sigma)}")
         print(f"profile written: {args.out}")

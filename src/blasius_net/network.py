@@ -123,8 +123,9 @@ def _sigmoid_stack(z: np.ndarray, out):
     """[sigma, sigma', ..., sigma^(4)] elementwise on the array z.
 
     out holds five arrays shaped like z (a (5,) + z.shape array or a sequence
-    of five views); all five are written and out is returned.  The tanh form
-    of sigma is overflow-free for any z.
+    of five views); all five are written and out is returned.  z is read
+    only before out[0] is written, so it may share memory with out.  The
+    tanh form of sigma is overflow-free for any z.
     """
     mul = np.multiply
     add = np.add
@@ -174,6 +175,19 @@ class NetworkJet:
     (S, H) at a time and reused while it stays: forward returns the same y
     on every call, overwritten, and pull reads the activations of the last
     forward.
+
+    The per-call elementwise operations that broadcast or stride the most
+    take same-shape, contiguous operands instead.  On arrays this small a
+    call costs its overhead, and numpy runs an operand broadcast along an
+    inner axis, or a strided one, as one short loop per row, where
+    same-shape contiguous operands take one flat loop: about three times
+    the cost at S = 1.  So the scratch holds the abscissae repeated over
+    the units for z = x w + u and to k's shape for the pull, forward repeats
+    u and w over the rows by one slice copy, and theta and the pull's sums
+    are stored with the weight row leading, each of v, u, w and d_v, d_u,
+    d_w a contiguous (S, H) block.  The layout moves no value: each is the
+    same product or sum of the same numbers, and the matrix products take
+    the operands they would take without it.
     """
 
     def __init__(self, xs, offset, linear, cotangent_orders=(0,)):
@@ -182,7 +196,6 @@ class NetworkJet:
             raise ValueError("xs must be (rows,) or (S, rows)")
         self.xs = xs
         linear = np.array(linear, dtype=np.float64)
-        self._xs_col = xs[..., None]
         # shared abscissae get leading axes of one: a stack of one then meets
         # no broadcasting
         lead = xs.shape[:-1] or (1,)
@@ -216,13 +229,21 @@ class NetworkJet:
         self._y_col = np.empty((stack, rows, 4, 1))
         self._cotangent_col = np.empty((stack, rows, self._orders, 1))
         self.y, self.cotangent = self._y_col[..., 0], self._cotangent_col[..., 0]
-        # forward copies theta here; its rows are (S, H) views, and (S, 1, H)
-        # views for the products that broadcast over rows
-        self._theta = np.empty(shape)
-        self._v, _, self._w = self._theta.transpose(1, 0, 2)
-        self._u_col, self._w_col = self._theta[:, 1:2], self._theta[:, 2:3]
-        self._z = np.empty((stack, rows, hidden))
+        # forward copies theta into rows v, u, w, each a contiguous (S, H) block
+        theta_rows = np.empty((3, stack, hidden))
+        self._theta = theta_rows.transpose(1, 0, 2)
+        self._v, _, self._w = theta_rows
         self._sig = np.empty((5, stack, rows, hidden))
+        # z = x w + u from the abscissae repeated over the units, and u and w
+        # repeated over the rows by forward.  u, w and z are staged in the
+        # orders 1, 2 and 4 of sig, which _sigmoid_stack writes only after it
+        # has read z
+        self._xs_rep = np.empty((stack, rows, hidden))
+        self._xs_rep[...] = self.xs[..., None]
+        self._uw_rep = self._sig[1:3]
+        self._u_rep, self._w_rep = self._uw_rep
+        self._uw_src = theta_rows[1:, :, None]
+        self._z = self._sig[4]
         self._sig_parts = tuple(self._sig)
         self._sig_lo = self._sig[:4]
         self._sig_hi = self._sig[1:, None]
@@ -241,6 +262,9 @@ class NetworkJet:
         # k[0, l] is the cotangent on n_l, k[1, l] the same scaled by x
         k = np.empty((2, 4, stack, rows))
         self._k, self._k_scaled = k
+        # the abscissae repeated to k's shape, for k x in pull
+        self._xs_k = np.empty((4, stack, rows))
+        self._xs_k[...] = self.xs
         self._k_out = self._k.transpose(1, 2, 0)[..., None]
         self._k_lhs = self._k[:, :, None, :]
         self._k_both = k.transpose(1, 0, 2, 3)[:, :, :, None, :]
@@ -255,10 +279,11 @@ class NetworkJet:
         self._tx_rows = self._tx[:, :, :, 0]
         prod = self._prod = np.empty((4, 4, stack, hidden))
         self._prod_s, self._prod_tx = prod[:, 0::2], prod[:, 1::2]
-        # sums[:, 0..2] become d_v, d_u, d_w in place; sums[:, 3] is w^l x_l
-        self._sums = np.empty((stack, 4, hidden))
-        self._sums_out = self._sums.transpose(1, 0, 2)
-        self._sum_parts = tuple(self._sums_out)
+        # sums[0..2] become d_v, d_u, d_w in place; sums[3] is w^l x_l.  Each
+        # is a contiguous (S, H) block, returned as one (S, 3, H) copy
+        self._sums = np.empty((4, stack, hidden))
+        self._sum_parts = tuple(self._sums)
+        self._grad = self._sums[:3].transpose(1, 0, 2)
 
     def forward(self, theta: np.ndarray) -> np.ndarray:
         """Fill and return the (S, rows, 4) buffer y for a float64 (S, 3, H) theta."""
@@ -271,8 +296,9 @@ class NetworkJet:
         self._theta[...] = theta
         w = self._w
         z = self._z
-        mul(self._xs_col, self._w_col, z)
-        np.add(z, self._u_col, z)
+        self._uw_rep[...] = self._uw_src
+        mul(self._xs_rep, self._w_rep, z)
+        np.add(z, self._u_rep, z)
         _sigmoid_stack(z, self._sig_parts)
 
         # n_l = sum_h v_h w_h^l sigma^(l), batched over l = 0..3
@@ -299,7 +325,7 @@ class NetworkJet:
         mul = np.multiply
         add = np.add
         np.matmul(self._adj, self._cotangent_col, self._k_out)
-        mul(self._k, self.xs, self._k_scaled)
+        mul(self._k, self._xs_k, self._k_scaled)
         np.matmul(self._k_lhs, self._sig_lo, self._s)
         np.matmul(self._k_both, self._sig_hi, self._tx)
 
@@ -307,14 +333,14 @@ class NetworkJet:
         mul(self._w2, _THREE, self._dw3)
         mul(self._wstack_l, self._s_b, self._prod_s)
         mul(self._tx_rows, self._wpow_b, self._prod_tx)
-        add.reduce(self._prod, 0, None, self._sums_out)
+        add.reduce(self._prod, 0, None, self._sums)
 
         v = self._v
         _, d_u, d_w, sum_tx = self._sum_parts
         mul(d_u, v, d_u)
         add(d_w, sum_tx, d_w)
         mul(d_w, v, d_w)
-        return self._sums[:, :3].copy()
+        return self._grad.copy()
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Fresh (S, 3, H) gradient of the sum of each entry's selected outputs."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -29,12 +30,13 @@ __all__ = [
     "series_coefficients",
     "series_eval",
     "series_tail_estimate",
+    "rk4_blocks",
     "rk4_profile",
     "shoot",
 ]
 
 TAIL_TOLERANCE = 1e-9  # truncation gate: |last term| vs |partial sum|
-RK4_CHUNK = 1024  # RK4 steps buffered in lists, then stored and checked at once
+RK4_CHUNK = 1024  # rows per block: buffered in lists, then checked and yielded at once
 RK4_MAX_STEPS = 10**6  # admits eta = 100 at the default step 1e-3, T5's last row
 # past k = 180 every prefactor (-1)^k A_k / (2^k (3k+2)!) rounds to 0.0 as a
 # double, so larger k cannot move a sum; it only costs big-integer work
@@ -108,12 +110,14 @@ def series_tail_estimate(sigma: float, eta: float, k_max: int) -> float:
     return abs(_series_terms(sigma, eta, k_max)[-1])
 
 
-def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionProfile:
-    """Integrate (f, f', f'') from (0, 0, sigma0) with fixed-step classical RK4.
+def rk4_blocks(sigma0: float, eta_max: float, step: float = 1e-3) -> Iterator[SolutionProfile]:
+    """Integrate (f, f', f'') from (0, 0, sigma0) with fixed-step classical RK4, block by block.
 
-    Emits a row at every grid point i*step (plus eta_max itself when the step
-    does not divide it exactly).  More than RK4_MAX_STEPS steps raise
-    ValueError before anything is allocated.
+    The rows are those of rk4_profile, yielded as consecutive SolutionProfile
+    blocks of at most RK4_CHUNK rows, so a long grid is never held whole.
+    The arguments are checked on the call, before any step; a block is
+    yielded once all its rows are finite, so a run whose state stops being
+    finite yields the blocks before that one, then raises IntegrationError.
     """
     sigma0 = float(sigma0)
     if not math.isfinite(sigma0) or sigma0 < 0.0:
@@ -130,25 +134,22 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
     n_full = int(math.floor(steps + 1e-12))
     remainder = eta_max - n_full * step
     has_tail = remainder > 1e-12 * max(1.0, eta_max)
-    count = n_full + 1 + (1 if has_tail else 0)
+    return _rk4_run(sigma0, eta_max, step, n_full, remainder if has_tail else 0.0)
 
-    eta = np.arange(count) * step
-    if has_tail:
-        eta[-1] = eta_max
-    f_col = np.empty(count)
-    fp_col = np.empty(count)
-    fpp_col = np.empty(count)
+
+def _rk4_run(sigma0: float, eta_max: float, step: float, n_full: int,
+             tail: float) -> Iterator[SolutionProfile]:
+    # (first row, row count, step size) of each block: full steps from row 0,
+    # the initial state, then one short step to eta_max itself if tail > 0
+    blocks = [(row, min(RK4_CHUNK, n_full + 1 - row), step)
+              for row in range(0, n_full + 1, RK4_CHUNK)]
+    if tail:
+        blocks.append((n_full + 1, 1, tail))
     f, g, h = 0.0, 0.0, sigma0
-    f_col[0], fp_col[0], fpp_col[0] = f, g, h
-    # rows [start, stop) advanced by one step size dt: full-step chunks, then the tail
-    blocks = [(row, min(row + RK4_CHUNK, n_full + 1), step)
-              for row in range(1, n_full + 1, RK4_CHUNK)]
-    if has_tail:
-        blocks.append((count - 1, count, remainder))
-    for start, stop, dt in blocks:
+    for first, count, dt in blocks:
         half, sixth = 0.5 * dt, dt / 6.0
-        fs, gs, hs = [], [], []
-        for _ in range(start, stop):
+        fs, gs, hs = ([f], [g], [h]) if first == 0 else ([], [], [])
+        for _ in range(count - len(fs)):
             # y' = (g, h, -f h / 2), classical four-stage step
             k1 = -0.5 * f * h
             f2, g2, h2 = f + half * g, g + half * h, h + half * k1
@@ -163,15 +164,26 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
             fs.append(f)
             gs.append(g)
             hs.append(h)
-        f_col[start:stop] = fs
-        fp_col[start:stop] = gs
-        fpp_col[start:stop] = hs
-        finite = (np.isfinite(f_col[start:stop]) & np.isfinite(fp_col[start:stop])
-                  & np.isfinite(fpp_col[start:stop]))
+        eta = np.arange(first, first + count) * step
+        if first > n_full:  # the short last step ends at eta_max exactly
+            eta[-1] = eta_max
+        columns = [np.fromiter(values, np.float64, count) for values in (fs, gs, hs)]
+        finite = np.isfinite(columns[0]) & np.isfinite(columns[1]) & np.isfinite(columns[2])
         if not finite.all():
-            bad_row = start + int(np.argmin(finite))
-            raise IntegrationError(f"state non-finite near eta = {eta[bad_row]}")
-    return SolutionProfile(eta=eta, f=f_col, fp=fp_col, fpp=fpp_col)
+            raise IntegrationError(f"state non-finite near eta = {eta[int(np.argmin(finite))]}")
+        yield SolutionProfile(eta, *columns)
+
+
+def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionProfile:
+    """Integrate (f, f', f'') from (0, 0, sigma0) with fixed-step classical RK4.
+
+    Emits a row at every grid point i*step (plus eta_max itself when the step
+    does not divide it exactly): the blocks of rk4_blocks joined.  More than
+    RK4_MAX_STEPS steps raise ValueError before anything is allocated.
+    """
+    blocks = list(rk4_blocks(sigma0, eta_max, step))
+    return SolutionProfile(*(np.concatenate([getattr(block, name) for block in blocks])
+                             for name in ("eta", "f", "fp", "fpp")))
 
 
 def _far_slope(sigma0: float, eta_far: float, step: float) -> float:

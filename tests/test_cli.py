@@ -15,7 +15,7 @@ import pytest
 from blasius_net import cli, problem
 from blasius_net.cli import build_parser, run_cli
 from blasius_net.model_io import load_model, save_model
-from blasius_net.oracles import rk4_profile, series_eval, shoot
+from blasius_net.oracles import RK4_CHUNK, rk4_profile, series_eval, shoot
 from blasius_net.profiles import CSV_BLOCK, format_float, write_profile_csv
 from blasius_net.report import evaluate_profile
 from blasius_net.tables import load_table
@@ -220,6 +220,38 @@ def test_oracle_stdout(capsys):
     default = capsys.readouterr()
     assert captured.out.splitlines()[0] == default.out.splitlines()[0]
     assert captured.out.splitlines()[0] == f"# sigma = {format_float(shoot())}"
+
+
+def test_oracle_never_holds_its_full_columns(tmp_path, capsys):
+    rows = 30_001
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--eta-max", "30", "--out", str(out)]
+    assert run_cli(argv) == 0  # sigma is shot, once per process, outside the trace
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == rows + 2
+    # the four whole columns alone would take 32 B a row
+    assert peak < 32 * rows
+
+
+def test_oracle_failing_in_a_later_block(tmp_path, capsys):
+    # at step 0.08 the RK4 state blows up near eta = 117, past the first block of rows
+    argv = ["oracle", "--step", "0.08", "--eta-max", "200"]
+    out = tmp_path / "oracle.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: state non-finite near eta = 117.28\n"
+    assert list(tmp_path.iterdir()) == []
+    # a stream cannot be taken back: the first block's rows stay written
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: state non-finite near eta = 117.28\n"
+    assert len(read_profile_csv(io.StringIO(captured.out))) == RK4_CHUNK
 
 
 def test_oracle_sigma_ignores_the_profile_horizon(tmp_path, capsys):

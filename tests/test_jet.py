@@ -1,11 +1,15 @@
 """The batched jet kernel against the scalar per-unit references in helpers, and its buffers."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from blasius_net.gradcheck import run_gradient_checks
 from blasius_net.network import NetworkJet, input_derivative, param_gradient
 from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.report import evaluate_profile
+from blasius_net.training import TrainingConfig, seed_sweep, train
 from blasius_net.trial import (
     TrialMode,
     TrialSpec,
@@ -142,3 +146,61 @@ def test_evaluator_views_share_the_jets_buffers(mode):
         for buffer, bound in views.items():
             for view in bound:
                 assert np.shares_memory(view, getattr(jet, buffer)), buffer
+
+
+def nan_empty(real_empty):
+    """np.empty whose float arrays come filled with NaN, so a read before a write shows."""
+    def empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+    return empty
+
+
+def hot_path_bytes():
+    """The bytes of a seed sweep, a single run and a small gradient audit."""
+    runs = seed_sweep(TrainingConfig(max_iterations=200), 20)
+    run = train(TrainingConfig(max_iterations=300))
+    audit = run_gradient_checks(draws=3, seed=0)
+    return ([(r.final_loss, r.final_params.weights.tobytes()) for r in runs + [run]],
+            [r.max_rel_error for r in audit])
+
+
+def test_no_scratch_buffer_is_read_before_it_is_written(monkeypatch):
+    # the jet and the evaluator reuse np.empty scratch across calls and stack
+    # shapes; a buffer read before it is written would carry NaN into the bytes
+    expected = hot_path_bytes()
+    monkeypatch.setattr(np, "empty", nan_empty(np.empty))
+    assert hot_path_bytes() == expected
+
+
+def jet_outputs(jet, theta):
+    """Values and pulled gradient of one call, with a cotangent fixed by the shapes."""
+    values = jet.forward(theta).copy()
+    jet.cotangent[...] = np.linspace(-1.0, 1.0, jet.cotangent.size).reshape(jet.cotangent.shape)
+    return values.tobytes(), jet.pull().tobytes()
+
+
+@pytest.mark.parametrize("kind", ["bare", "penalty"])
+def test_each_stack_shape_gets_its_own_scratch(kind):
+    # one object moved through stack shapes gives, at each, a fresh object's
+    # bytes: the repeated operands and every other buffer follow the shape
+    build = NetworkJet.bare if kind == "bare" else partial(trial_jet, SPECS[1])
+    rng = np.random.default_rng(11)
+    shared = np.linspace(0.0, 6.0, 7)
+    jet = build(shared, (0, 2, 3))
+    evaluator = LossEvaluator(SPECS[1], CollocationGrid.equidistant(10, 6.0))
+    for stack in (1, 20, 1, 3):
+        theta = rng.uniform(-2.0, 2.0, (stack, 3, 5))
+        assert jet_outputs(jet, theta) == jet_outputs(build(shared, (0, 2, 3)), theta)
+        totals, grad = evaluator.evaluate(theta)
+        fresh_totals, fresh_grad = LossEvaluator(
+            SPECS[1], CollocationGrid.equidistant(10, 6.0)).evaluate(theta)
+        assert totals == fresh_totals and grad.tobytes() == fresh_grad.tobytes()
+    # abscissae per entry fix the stack size, so their jet moves through hidden counts
+    per_entry = rng.uniform(0.0, 6.0, (3, 4))
+    jet = build(per_entry, (1, 3))
+    for hidden in (1, 20, 1, 3):
+        theta = rng.uniform(-2.0, 2.0, (3, 3, hidden))
+        assert jet_outputs(jet, theta) == jet_outputs(build(per_entry, (1, 3)), theta)

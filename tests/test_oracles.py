@@ -11,11 +11,13 @@ import pytest
 
 from blasius_net import oracles
 from blasius_net.oracles import (
+    RK4_CHUNK,
     RK4_MAX_STEPS,
     SERIES_MAX_K,
     IntegrationError,
     SeriesNotConvergedError,
     _series_terms,
+    rk4_blocks,
     rk4_profile,
     series_coefficients,
     series_eval,
@@ -211,6 +213,38 @@ def test_rk4_profile_bits_are_pinned(sigma, sigma0, eta_max, step, digest):
     profile = rk4_profile(sigma if sigma0 is None else sigma0, eta_max, step)
     columns = (profile.eta, profile.f, profile.fp, profile.fpp)
     assert hashlib.sha256(b"".join(col.tobytes() for col in columns)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("eta_max, step, sizes", [
+    (10.0, 1e-3, [RK4_CHUNK] * 9 + [785]),
+    (7.3, 0.7, [11, 1]),  # the short tail step is a block of its own
+    (20.48, 0.01, [RK4_CHUNK, RK4_CHUNK, 1]),
+], ids=["shoot", "short-tail", "whole-blocks"])
+def test_rk4_blocks_are_consecutive_and_join_to_the_profile(eta_max, step, sizes):
+    blocks = list(rk4_blocks(0.33, eta_max, step))
+    assert [len(block) for block in blocks] == sizes
+    whole = rk4_profile(0.33, eta_max, step)
+    for name in ("eta", "f", "fp", "fpp"):
+        joined = np.concatenate([getattr(block, name) for block in blocks])
+        assert joined.tobytes() == getattr(whole, name).tobytes()
+    assert whole.eta[-1] == eta_max
+
+
+def test_rk4_blocks_check_arguments_on_the_call():
+    # before any step, so a caller that writes the blocks out opens nothing
+    with pytest.raises(ValueError, match="eta_max must be finite and positive"):
+        rk4_blocks(0.3, math.nan)
+    with pytest.raises(ValueError, match="over RK4_MAX_STEPS"):
+        rk4_blocks(0.3, 0.5, 1e-9)
+
+
+def test_rk4_blocks_yield_the_finite_blocks_before_a_blowup():
+    blocks = rk4_blocks(2e5, 10.0, 1e-3)
+    with np.errstate(all="ignore"):
+        first = next(blocks)
+        assert len(first) == RK4_CHUNK and first.eta[-1] < 1.318
+        with pytest.raises(IntegrationError, match="near eta = 1.318"):
+            next(blocks)
 
 
 def test_rk4_blowup_raises():
