@@ -349,6 +349,8 @@ class NetworkJet:
         return self.pull()
 
 
+# shims that perfbench/tracing.py patches by name; ROADMAP item 3 deletes
+# them with the benchmark change that unpins them
 def input_derivative(params: NetworkParams, x: float, order: int) -> float:
     """d^k N / dx^k at x: sum_i v_i w_i^k sigma^(k)(w_i x + u_i), k in 0..3."""
     _check_order(order, MAX_DERIVATIVE_ORDER)

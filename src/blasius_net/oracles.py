@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .profiles import SolutionProfile
+from .profiles import CSV_BLOCK, SolutionProfile
 
 __all__ = [
     "SeriesNotConvergedError",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 TAIL_TOLERANCE = 1e-9  # truncation gate: |last term| vs |partial sum|
-RK4_CHUNK = 1024  # rows per block: buffered in lists, then checked and yielded at once
 RK4_MAX_STEPS = 10**6  # admits eta = 100 at the default step 1e-3, T5's last row
 # past k = 180 every prefactor (-1)^k A_k / (2^k (3k+2)!) rounds to 0.0 as a
 # double, so larger k cannot move a sum; it only costs big-integer work
@@ -114,7 +113,7 @@ def rk4_blocks(sigma0: float, eta_max: float, step: float = 1e-3) -> Iterator[So
     """Integrate (f, f', f'') from (0, 0, sigma0) with fixed-step classical RK4, block by block.
 
     The rows are those of rk4_profile, yielded as consecutive SolutionProfile
-    blocks of at most RK4_CHUNK rows, so a long grid is never held whole.
+    blocks of at most CSV_BLOCK rows, so a long grid is never held whole.
     The arguments are checked on the call, before any step; a block is
     yielded once all its rows are finite, so a run whose state stops being
     finite yields the blocks before that one, then raises IntegrationError.
@@ -141,8 +140,8 @@ def _rk4_run(sigma0: float, eta_max: float, step: float, n_full: int,
              tail: float) -> Iterator[SolutionProfile]:
     # (first row, row count, step size) of each block: full steps from row 0,
     # the initial state, then one short step to eta_max itself if tail > 0
-    blocks = [(row, min(RK4_CHUNK, n_full + 1 - row), step)
-              for row in range(0, n_full + 1, RK4_CHUNK)]
+    blocks = [(row, min(CSV_BLOCK, n_full + 1 - row), step)
+              for row in range(0, n_full + 1, CSV_BLOCK)]
     if tail:
         blocks.append((n_full + 1, 1, tail))
     f, g, h = 0.0, 0.0, sigma0
@@ -187,8 +186,10 @@ def rk4_profile(sigma0: float, eta_max: float, step: float = 1e-3) -> SolutionPr
 
 
 def _far_slope(sigma0: float, eta_far: float, step: float) -> float:
-    """f'(eta_far) for the IVP started at curvature sigma0."""
-    return float(rk4_profile(sigma0, eta_far, step).fp[-1])
+    """f'(eta_far) for the IVP started at curvature sigma0, one block of rows held at a time."""
+    for block in rk4_blocks(sigma0, eta_far, step):
+        pass
+    return float(block.fp[-1])
 
 
 @functools.cache  # sigma is a constant: the first call's run serves the whole process

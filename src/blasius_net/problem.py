@@ -14,8 +14,8 @@ NetworkParams.weights) and returns one total per entry and a fresh
 (S, 3, H) gradient, rows d_v, d_u, d_w.  Its cost is numpy call overhead,
 not arithmetic: a fixed set of array calls for the whole stack, the
 squared residuals and their running sums among them, and one Python
-expression per entry that adds its penalty.  The module-level loss and
-loss_gradient wrappers evaluate a stack of one.
+expression per entry that adds its penalty.  The module-level loss (a
+LossReport holding the total alone) and loss_gradient evaluate a stack of one.
 """
 
 from __future__ import annotations
@@ -57,21 +57,9 @@ class CollocationGrid:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss total with its parts.
-
-    penalty_term is the lambda-weighted far-slope contribution, so
-    total == sum(residuals**2) + penalty_term holds exactly as summed
-    (left-to-right, in grid order).
-    """
+    """Loss total: squared residuals added left to right in grid order, then the penalty."""
 
     total: float
-    residuals: np.ndarray
-    penalty_term: float
-
-    def __post_init__(self):
-        res = np.array(self.residuals, dtype=np.float64)
-        res.flags.writeable = False
-        object.__setattr__(self, "residuals", res)
 
 
 class LossEvaluator:
@@ -176,15 +164,14 @@ class LossEvaluator:
         return totals, jet.pull()
 
 
+# shims that perfbench/tracing.py patches by name (bench.py reads loss().total);
+# ROADMAP item 3 deletes them with the benchmark change that unpins them
 def loss(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,
          penalty_weight: float = DEFAULT_PENALTY_WEIGHT) -> LossReport:
     """Collocation loss over the grid (plus far-slope penalty for the penalty family)."""
-    evaluator = LossEvaluator(spec, grid, penalty_weight)
     with np.errstate(all="ignore"):
-        (total,), _ = evaluator.evaluate(params.weights[None])
-    err = float(evaluator._err[0]) if evaluator.penalty_active else 0.0
-    return LossReport(total=total, residuals=evaluator._r[:evaluator.point_count],
-                      penalty_term=evaluator.penalty_weight * err * err)
+        (total,), _ = LossEvaluator(spec, grid, penalty_weight).evaluate(params.weights[None])
+    return LossReport(total)
 
 
 def loss_gradient(spec: TrialSpec, params: NetworkParams, grid: CollocationGrid,

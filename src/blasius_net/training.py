@@ -14,7 +14,9 @@ learning rate, so the momentum step is four in-place whole-array
 operations for all seeds.  A seed leaves the stack when it diverges,
 reaches the loss target or uses up its budget.  Every entry is computed
 independently of the others, so a seed's run is the same bit for bit alone
-(train is a stack of one) and at any position of a seed_sweep.
+(train is a stack of one) and at any position of a seed_sweep.  best_run
+picks a sweep's winner and raises AllRunsDivergedError when no seed
+survived; multi_run is a sweep followed by best_run.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class AllRunsDivergedError(RuntimeError):
-    """Raised when every seed diverged: by multi_run, and by the CLI's solve over a sweep."""
+    """Raised by best_run when every seed of a sweep diverged."""
 
 
 def _splitmix64(value: int) -> int:
@@ -233,16 +235,17 @@ def seed_sweep(cfg: TrainingConfig, run_count: int) -> list[TrainingRun | None]:
             for outcome in _train_lockstep(cfg, seeds)]
 
 
-def best_run(runs: list[TrainingRun | None]) -> TrainingRun | None:
-    """Lowest final loss in a seed_sweep result, ties to the lower seed; None if all diverged."""
+def best_run(runs: list[TrainingRun | None]) -> TrainingRun:
+    """Lowest final loss in a seed_sweep result, ties to the lower seed; raise if all diverged."""
     survivors = [run for run in runs if run is not None]
+    if not survivors:
+        raise AllRunsDivergedError(f"all {len(runs)} seeds diverged")
     # min keeps the first of equal keys, so ties go to the lower seed
-    return min(survivors, key=lambda run: run.final_loss, default=None)
+    return min(survivors, key=lambda run: run.final_loss)
 
 
+# a shim that perfbench/tracing.py patches by name; ROADMAP item 3 deletes
+# it with the benchmark change that unpins it
 def multi_run(cfg: TrainingConfig, run_count: int) -> TrainingRun:
     """Best run (lowest final loss, ties to the lower seed) over consecutive seeds."""
-    best = best_run(seed_sweep(cfg, run_count))
-    if best is None:
-        raise AllRunsDivergedError(f"all {run_count} seeds starting at {cfg.seed} diverged")
-    return best
+    return best_run(seed_sweep(cfg, run_count))

@@ -115,6 +115,8 @@ def trial_jet(spec: TrialSpec, xs, cotangent_orders=(0,)) -> NetworkJet:
     return NetworkJet(xs, offset, linear, cotangent_orders)
 
 
+# shims that perfbench/tracing.py patches by name; ROADMAP item 3 deletes
+# them with the benchmark change that unpins them
 def trial_value(spec: TrialSpec, params: NetworkParams, x: float) -> float:
     """y(x) = A(x) + F(x) N(x)."""
     return float(trial_jet(spec, [x]).forward(params.weights[None])[0, 0, 0])

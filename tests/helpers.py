@@ -5,7 +5,8 @@ gradcheck module so that analytic derivatives get checked against a second,
 separately written numerical scheme.  Likewise the ref_* functions are
 scalar, per-point re-derivations of the network and trial-solution
 derivatives (per-unit sums and an explicit Leibniz loop), kept as the
-reference for the package's batched jet.  read_profile_csv parses the
+reference for the package's batched jet.  python_totals re-adds a loss
+evaluator's totals in Python, in order.  read_profile_csv parses the
 profile CSVs that the package writes; no command reads them back.
 """
 
@@ -128,6 +129,21 @@ def ref_trial_param_gradient(spec, params, x, order):
         for acc, part in zip(total, ref_param_gradient(params, x, order - j)):
             acc += coeff * float(f[j]) * part
     return tuple(total)
+
+
+def python_totals(evaluator, lam):
+    """Each entry's squared residuals added left to right in Python, then lam * err * err."""
+    y = evaluator._jet.y.tolist()  # read after evaluate: (S, rows, 4)
+    m = evaluator.point_count
+    totals = []
+    for rows in y:
+        total = 0.0
+        for y0, _, y2, y3 in rows[:m]:
+            residual = 0.5 * y0 * y2 + y3
+            total += residual * residual
+        err = rows[m][1] - 1.0 if evaluator.penalty_active else 0.0
+        totals.append(total + lam * err * err)
+    return totals
 
 
 def read_profile_csv(source) -> SolutionProfile:

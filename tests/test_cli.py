@@ -15,7 +15,7 @@ import pytest
 from blasius_net import cli, problem
 from blasius_net.cli import build_parser, run_cli
 from blasius_net.model_io import load_model, save_model
-from blasius_net.oracles import RK4_CHUNK, rk4_profile, series_eval, shoot
+from blasius_net.oracles import rk4_profile, series_eval, shoot
 from blasius_net.profiles import CSV_BLOCK, format_float, write_profile_csv
 from blasius_net.report import evaluate_profile
 from blasius_net.tables import load_table
@@ -251,7 +251,7 @@ def test_oracle_failing_in_a_later_block(tmp_path, capsys):
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: state non-finite near eta = 117.28\n"
-    assert len(read_profile_csv(io.StringIO(captured.out))) == RK4_CHUNK
+    assert len(read_profile_csv(io.StringIO(captured.out))) == CSV_BLOCK
 
 
 def test_oracle_sigma_ignores_the_profile_horizon(tmp_path, capsys):

@@ -11,7 +11,6 @@ import pytest
 
 from blasius_net import oracles
 from blasius_net.oracles import (
-    RK4_CHUNK,
     RK4_MAX_STEPS,
     SERIES_MAX_K,
     IntegrationError,
@@ -24,6 +23,7 @@ from blasius_net.oracles import (
     series_tail_estimate,
     shoot,
 )
+from blasius_net.profiles import CSV_BLOCK
 
 from helpers import SIGMA_REF
 
@@ -216,9 +216,9 @@ def test_rk4_profile_bits_are_pinned(sigma, sigma0, eta_max, step, digest):
 
 
 @pytest.mark.parametrize("eta_max, step, sizes", [
-    (10.0, 1e-3, [RK4_CHUNK] * 9 + [785]),
+    (10.0, 1e-3, [CSV_BLOCK] * 9 + [785]),
     (7.3, 0.7, [11, 1]),  # the short tail step is a block of its own
-    (20.48, 0.01, [RK4_CHUNK, RK4_CHUNK, 1]),
+    (20.48, 0.01, [CSV_BLOCK, CSV_BLOCK, 1]),
 ], ids=["shoot", "short-tail", "whole-blocks"])
 def test_rk4_blocks_are_consecutive_and_join_to_the_profile(eta_max, step, sizes):
     blocks = list(rk4_blocks(0.33, eta_max, step))
@@ -242,7 +242,7 @@ def test_rk4_blocks_yield_the_finite_blocks_before_a_blowup():
     blocks = rk4_blocks(2e5, 10.0, 1e-3)
     with np.errstate(all="ignore"):
         first = next(blocks)
-        assert len(first) == RK4_CHUNK and first.eta[-1] < 1.318
+        assert len(first) == CSV_BLOCK and first.eta[-1] < 1.318
         with pytest.raises(IntegrationError, match="near eta = 1.318"):
             next(blocks)
 
@@ -288,13 +288,13 @@ def test_shoot_far_field_has_settled():
 def test_shoot_integrates_once_per_process(monkeypatch):
     # sigma is a constant: only the first call after cache_clear runs its RK4 integration
     runs = []
-    original = oracles.rk4_profile
+    original = oracles.rk4_blocks
 
     def counting(*args, **kwargs):
         runs.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(oracles, "rk4_profile", counting)
+    monkeypatch.setattr(oracles, "rk4_blocks", counting)
     shoot.cache_clear()
     first = shoot()
     assert runs == [(1.0, 10.0, 1e-3)]

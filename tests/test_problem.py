@@ -14,6 +14,7 @@ from helpers import (
     SIGMA_REF,
     fd_param_triple,
     max_normalized_diff,
+    python_totals,
     random_params,
     ref_trial_derivative,
 )
@@ -62,39 +63,30 @@ def test_grid_points_are_locked():
 def test_loss_paper_silent_network_origin_grid():
     # y = x**3 + x**2: at x = 0, y''' + y y''/2 = 6 + 0 * 2 / 2 = 6; at x = 1,
     # 6 + 2 * 8 / 2 = 14; so the loss is 36 + 196
-    report = loss(PAPER, zero_net(), CollocationGrid.equidistant(2, 1.0))
-    assert report.total == 232.0
-    assert report.penalty_term == 0.0
-    assert np.array_equal(report.residuals, [6.0, 14.0])
+    assert loss(PAPER, zero_net(), CollocationGrid.equidistant(2, 1.0)).total == 232.0
 
 
 def test_loss_penalty_silent_network():
     # y identically zero: residuals vanish, slope misses 1 by exactly 1
     grid = CollocationGrid.equidistant(2, 6.0)
-    report = loss(PENALTY, zero_net(), grid, penalty_weight=1.0)
-    assert report.total == 1.0
-    assert report.penalty_term == 1.0
-    report10 = loss(PENALTY, zero_net(), grid, penalty_weight=10.0)
-    assert report10.total == 10.0
-    assert report10.penalty_term == 10.0
+    assert loss(PENALTY, zero_net(), grid, penalty_weight=1.0).total == 1.0
+    assert loss(PENALTY, zero_net(), grid, penalty_weight=10.0).total == 10.0
 
 
 def test_penalty_weight_zero_disables_penalty():
     grid = CollocationGrid.equidistant(5, 6.0)
     rng = np.random.default_rng(37)
     params = random_params(rng, 3)
-    report = loss(PENALTY, params, grid, penalty_weight=0.0)
-    assert report.penalty_term == 0.0
     brute = math.fsum(ref_residual(PENALTY, params, x) ** 2 for x in grid.points)
-    assert report.total == pytest.approx(brute, rel=1e-12)
+    assert loss(PENALTY, params, grid, penalty_weight=0.0).total == pytest.approx(brute, rel=1e-12)
 
 
 def test_paper_mode_never_applies_penalty():
     grid = CollocationGrid.equidistant(5, 6.0)
     rng = np.random.default_rng(41)
     params = random_params(rng, 3)
-    report = loss(PAPER, params, grid, penalty_weight=10.0)
-    assert report.penalty_term == 0.0
+    free = loss(PAPER, params, grid, penalty_weight=0.0).total
+    assert loss(PAPER, params, grid, penalty_weight=10.0).total.hex() == free.hex()
 
 
 def test_loss_matches_bruteforce_recomputation():
@@ -110,22 +102,22 @@ def test_loss_matches_bruteforce_recomputation():
                 slope_err = ref_trial_derivative(spec, params, spec.domain_end, 1) - 1.0
                 expected += weight * slope_err * slope_err
             assert report.total == pytest.approx(expected, rel=1e-12)
-            assert np.allclose(report.residuals, residuals, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [PAPER, PENALTY], ids=["paper", "penalty"])
 @pytest.mark.parametrize("weight", [0.0, 2.5, 10.0])
 @pytest.mark.parametrize("points", [5, 10, 31])
 def test_loss_report_parts_sum_to_total_bit_for_bit(spec, weight, points):
-    # the LossReport identity: squares added left to right in grid order, then the penalty
+    # loss() is a stack of one through LossEvaluator, whose total is the squared
+    # residuals added left to right in grid order, then the penalty
     rng = np.random.default_rng(points * 100 + int(weight * 10))
     grid = CollocationGrid.equidistant(points, 6.0)
+    evaluator = LossEvaluator(spec, grid, weight)
     for _ in range(20):
-        report = loss(spec, random_params(rng, 5, scale=2.0), grid, weight)
-        total = 0.0
-        for r in report.residuals.tolist():
-            total += r * r
-        assert total + report.penalty_term == report.total
+        params = random_params(rng, 5, scale=2.0)
+        (total,), _ = evaluator.evaluate(params.weights[None])
+        (parts,) = python_totals(evaluator, evaluator.penalty_weight)
+        assert loss(spec, params, grid, weight).total.hex() == total.hex() == parts.hex()
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -137,12 +129,6 @@ def test_loss_gradient_matches_finite_differences():
             analytic = loss_gradient(spec, params, grid)
             numeric = fd_param_triple(lambda p: loss(spec, p, grid).total, params)
             assert max_normalized_diff(analytic, numeric) <= 1e-5
-
-
-def test_loss_report_is_locked():
-    report = loss(PAPER, zero_net(), CollocationGrid.equidistant(2, 3.0))
-    with pytest.raises(ValueError):
-        report.residuals[0] = 0.0
 
 
 def test_evaluator_validation():

@@ -15,6 +15,8 @@ from blasius_net.problem import CollocationGrid, LossEvaluator
 from blasius_net.training import MOMENTUM_COEFF, SWEEP_MAX_RUNS, TrainingConfig, seed_sweep
 from blasius_net.trial import TrialMode, TrialSpec
 
+from helpers import python_totals
+
 CONSTANTS = {
     "_HALF": 0.5,
     "_ONE": 1.0,
@@ -69,36 +71,24 @@ def test_momentum_step_equals_its_formula(stack):
         assert theta.tobytes() == expected_theta.tobytes()
 
 
-def python_totals(evaluator, lam):
-    """Each entry's squared residuals added left to right in Python, then lam * err * err."""
-    y = evaluator._jet.y.tolist()  # read after evaluate: (S, rows, 4)
-    m = evaluator.point_count
-    totals = []
-    for rows in y:
-        total = 0.0
-        for y0, _, y2, y3 in rows[:m]:
-            residual = 0.5 * y0 * y2 + y3
-            total += residual * residual
-        err = rows[m][1] - 1.0 if evaluator.penalty_active else 0.0
-        totals.append(total + lam * err * err)
-    return totals
-
-
 def float_bytes(values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("mode,lam", [(TrialMode.PAPER, 10.0), (TrialMode.PENALTY, 10.0),
-                                      (TrialMode.PENALTY, 0.0)])
+                                      (TrialMode.PENALTY, 0.0), (TrialMode.PENALTY, 2.5)])
 @pytest.mark.parametrize("stack", [1, 2, 20, 300])
 def test_evaluate_totals_are_an_in_order_python_sum(mode, lam, stack):
-    evaluator = LossEvaluator(TrialSpec(mode, 6.0), GRID, lam)
     rng = np.random.default_rng(stack)
-    theta = rng.uniform(-1.0, 1.0, (stack, 3, 5))
-    with np.errstate(all="ignore"):
-        totals, _ = evaluator.evaluate(theta)
-    assert len(totals) == stack
-    assert float_bytes(totals) == float_bytes(python_totals(evaluator, evaluator.penalty_weight))
+    for points in (5, 10, 31):
+        evaluator = LossEvaluator(TrialSpec(mode, 6.0), CollocationGrid.equidistant(points, 6.0),
+                                  lam)
+        theta = rng.uniform(-2.0, 2.0, (stack, 3, 5))
+        with np.errstate(all="ignore"):
+            totals, _ = evaluator.evaluate(theta)
+        assert len(totals) == stack
+        assert float_bytes(totals) == float_bytes(
+            python_totals(evaluator, evaluator.penalty_weight)), points
 
 
 @pytest.mark.parametrize("mode", [TrialMode.PAPER, TrialMode.PENALTY])

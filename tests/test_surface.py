@@ -70,8 +70,17 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name} in the result line")
 
 
-@pytest.mark.parametrize("workload", ["single", "sweep", "validate"])
-def test_benchmark_result_line_holds_every_metric(workload):
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param("single", 0, id="single"),
+    pytest.param("sweep", 0, id="sweep"),
+    pytest.param("validate", 0, id="validate"),
+    # one-seed training diverges at seed 60 by iteration 6, so every timed op
+    # fails and the result line has no op_median_s
+    pytest.param("single", 60, id="single-seed60", marks=pytest.mark.xfail(
+        strict=True, reason="the FOUND line in CHANGES.md on benchmark seeds at which "
+                              "one-seed solve diverges; a benchmark change mends it")),
+])
+def test_benchmark_result_line_holds_every_metric(workload, seed):
     """A run ends in one strict-JSON line that holds every end-to-end metric.
 
     A stray line after the result, or a metric lost from it, fails every run
@@ -80,7 +89,8 @@ def test_benchmark_result_line_holds_every_metric(workload):
     OpenBLAS kernels, the same caveat as the bit fingerprints.
     """
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.2"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "0.2"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)

@@ -255,7 +255,8 @@ def test_best_run_prefers_lowest_loss_then_lower_seed():
     first, second, third = run(0.5), run(0.25), run(0.25)
     assert best_run([first, None, second, third]) is second
     assert best_run([None, first]) is first
-    assert best_run([None, None]) is None
+    with pytest.raises(AllRunsDivergedError, match="^all 2 seeds diverged$"):
+        best_run([None, None])
 
 
 def test_multi_run_single_seed_equals_train():
