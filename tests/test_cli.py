@@ -201,12 +201,16 @@ def test_oracle_writes_profile(tmp_path, capsys):
     assert "# sigma = " in out.read_text()
 
 
-def test_oracle_default_file_is_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("options, digest", [
+    ([], "2e0059982b9d81014588eead26b673b626320d4874c5484c580a0d980af97afd"),
+    # f'' runs down to ~1e-300: the exponent form's tail
+    (["--eta-max", "100"], "6abcc76b42325f25d933c63b353f9959f318c3c6deffefd621db605be6362084"),
+], ids=["default", "eta-max-100"])
+def test_oracle_default_file_is_pinned(options, digest, tmp_path, capsys):
     out = tmp_path / "oracle.csv"
-    assert run_cli(["oracle", "--out", str(out)]) == 0
+    assert run_cli(["oracle", *options, "--out", str(out)]) == 0
     capsys.readouterr()
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "2e0059982b9d81014588eead26b673b626320d4874c5484c580a0d980af97afd"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_oracle_stdout(capsys):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blasius_net.oracles import rk4_profile, shoot
 from blasius_net.profiles import (
     CSV_BLOCK,
     CSV_HEADER,
     SolutionProfile,
+    _decimal,
     format_float,
     write_profile_csv,
 )
@@ -98,6 +100,33 @@ def test_csv_rows_match_per_value_format_float():
                                    special[2:] + special[:2])]
     assert buffer.getvalue() == "\n".join(expected) + "\n"
     assert "-0," in buffer.getvalue() and "4.9406564584124654e-324" in buffer.getvalue()
+
+    rng = np.random.default_rng(83)
+    decades = np.array([float(f"1e{k}") for k in range(-30, 18)])
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    # the only exact ties past 10**22, 18 digits ending in 5: % decides them
+    late_ties = np.array([n / 2**24 for n in range(3, 16, 2)] + [1 / 2**25, 3 / 2**25])
+    assert _decimal(late_ties)[2].all()
+    value_sets = [
+        # exact ties of the 17th digit, n / 2**17 for odd n in [1, 10)
+        (2 * rng.integers(2**16, 5 * 2**17, 5000) + 1) / 2.0**17,
+        np.concatenate([late_ties, -late_ties]),
+        np.concatenate([np.nextafter(decades, 0.0), decades, np.nextafter(decades, np.inf)]),
+        np.array([5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0,
+                  1e17, -1e17, 1.5e17, np.nextafter(1e17, 0.0), np.finfo(float).max]),
+        bits[np.isfinite(bits)],
+    ]
+    oracle = rk4_profile(shoot(), 100.0)
+    cases = [(oracle.eta, oracle.f, oracle.fp, oracle.fpp)]
+    for values in value_sets:
+        count = -(-values.size // 3)  # each value once in f, fp or fpp
+        cases.append((np.arange(float(count)), *np.resize(values, (3, count))))
+    for columns in cases:
+        buffer = io.StringIO()
+        write_profile_csv((SolutionProfile(*columns),), buffer)
+        rows = zip(*(column.tolist() for column in columns))
+        assert buffer.getvalue() == "".join(
+            [CSV_HEADER + "\n"] + [",".join(map(format_float, row)) + "\n" for row in rows])
 
 
 class WriteRecorder(io.StringIO):
